@@ -25,7 +25,6 @@ from .subspaces import (
     mat_inverse,
     mat_span,
     span_basis_mats,
-    subspace_contains,
     subspace_intersect,
     subspace_sum,
 )

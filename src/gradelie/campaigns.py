@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .subspaces import span_basis_mats
 from .lie import cartan_test, is_solvable, is_nil_subspace, lie_closure
 from .grading import ampliate, check_maptri
-from .spectral import decide_irreducible
+from .spectral import assoc_closure_dim
 from .structures import (
     jordan_ideal_chain,
     jordan_to_z2,
@@ -350,8 +350,7 @@ def _campaign_three_product_search(trials, seed, dim_max) -> CampaignResult:
         if lie_closure(odd_mats, ambient_dim=n).span != s.algebra.span:
             continue
         candidates += 1
-        verdict = decide_irreducible(list(s.algebra.basis_mats))
-        if verdict.irreducible:
+        if assoc_closure_dim(list(s.algebra.basis_mats)) == n * n:
             irreducible_found += 1
     result.hypothesis_met = candidates
     result.notes["irreducible_found"] = irreducible_found

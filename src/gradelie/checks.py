@@ -26,7 +26,7 @@ from .grading import (
     homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
 )
-from .spectral import decide_irreducible
+from .spectral import assoc_closure_dim
 from .documents import document_from, document_to_dict, instance_digest
 
 __all__ = [
@@ -95,6 +95,12 @@ def _zero_component(s: SubgradedAlgebra) -> Subspace:
     return s.component(s.group.zero())
 
 
+def _reducible(s: SubgradedAlgebra) -> bool:
+    """Burnside: the set is reducible iff its associative closure is not all of gl(n)."""
+    n = s.algebra.ambient_dim
+    return assoc_closure_dim(list(s.algebra.basis_mats)) < n * n
+
+
 def check_scalar_zero_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Cyclic grading with scalar zero component forces solvability."""
     if not s.group.is_cyclic():
@@ -159,9 +165,8 @@ def check_graded_cartan(s: SubgradedAlgebra) -> CheckReport:
     passed = True
     payload = None
     if met:
-        verdict = decide_irreducible(list(s.algebra.basis_mats))
-        conclusions["reducible"] = not verdict.irreducible
-        passed = not verdict.irreducible
+        passed = _reducible(s)
+        conclusions["reducible"] = passed
         if not passed:
             payload = _payload(s, {"failed": "reducible", "witness_degree": list(witnesses[0][0])})
     return CheckReport(
@@ -205,10 +210,7 @@ def check_engel_commutators_solvable(s: SubgradedAlgebra) -> CheckReport:
     digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     commutators = [m for _, m in homogeneous_commutators(s) if not m.is_zero()]
-    span = (
-        mat_span(commutators, n) if commutators else Subspace.zero(n * n)
-    )
-    met = subspace_engel_in(s.algebra, span)
+    met = subspace_engel_in(s.algebra, mat_span(commutators, n))
     hypothesis = {"homogeneous_commutator_span_engel": met}
     conclusions = {}
     passed = True
@@ -242,8 +244,7 @@ def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
                     for b in s.component_mats(gb)
                 )
     mats = [m for m in mats if not m.is_zero()]
-    span = mat_span(mats, n) if mats else Subspace.zero(n * n)
-    met = subspace_engel_in(s.algebra, span)
+    met = subspace_engel_in(s.algebra, mat_span(mats, n))
     hypothesis = {"designated_pair_bracket_span_engel": met}
     conclusions = {}
     passed = True
@@ -263,10 +264,7 @@ def check_nonabelian_solvable_zero_reducible(s: SubgradedAlgebra) -> CheckReport
     """A solvable non-commutative zero component forces reducibility."""
     digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
-    zero_sub = _zero_component(s)
-    zero_alg = LieAlgebra.from_matrices(
-        span_basis_mats(zero_sub, n), n, verify=False
-    ) if zero_sub.dim else LieAlgebra.from_matrices([], n, verify=False)
+    zero_alg = LieAlgebra.from_span(_zero_component(s), n)
     derived_nonzero = any(
         not bracket(a, b).is_zero()
         for i, a in enumerate(zero_alg.basis_mats)
@@ -283,9 +281,8 @@ def check_nonabelian_solvable_zero_reducible(s: SubgradedAlgebra) -> CheckReport
     passed = True
     payload = None
     if met:
-        verdict = decide_irreducible(list(s.algebra.basis_mats))
-        conclusions["reducible"] = not verdict.irreducible
-        passed = not verdict.irreducible
+        passed = _reducible(s)
+        conclusions["reducible"] = passed
         if not passed:
             payload = _payload(s, {"failed": "reducible"})
     return CheckReport(
@@ -312,9 +309,8 @@ def check_odd_engel_solvable(s: SubgradedAlgebra) -> CheckReport:
         conclusions["paired_ideal_solvable"] = solvable
         passed = solvable
         if passed and not is_scalar_set(odd, n) and n > 1:
-            verdict = decide_irreducible(list(s.algebra.basis_mats))
-            conclusions["reducible"] = not verdict.irreducible
-            passed = not verdict.irreducible
+            passed = _reducible(s)
+            conclusions["reducible"] = passed
         if not passed:
             payload = _payload(s, {"failed": [k for k, v in conclusions.items() if not v]})
     return CheckReport(

@@ -13,6 +13,7 @@ import sys
 from .documents import (
     AlgebraDocument,
     DocumentError,
+    _matrix_to_json,
     dumps_document,
     instance_digest,
     loads_document,
@@ -21,10 +22,12 @@ from .documents import (
 from .examples import EXAMPLE_NAMES, build_example
 from .lie import (
     LieAlgebra,
+    NotClosedError,
     cartan_test,
     derived_series,
     is_nil_subspace,
     is_solvable,
+    lie_closure,
     lower_central_series,
 )
 from .grading import GradingError, SubgradedAlgebra
@@ -63,13 +66,6 @@ def _emit(report: dict, mode: str) -> None:
                 print(f"  - {v}")
         else:
             print(f"{key}: {value}")
-
-
-def _matrix_json(m) -> list:
-    return [
-        [format_scalar(m.entry(i, j)) for j in range(m.n_cols)]
-        for i in range(m.n_rows)
-    ]
 
 
 def _load(path: str) -> AlgebraDocument:
@@ -140,8 +136,6 @@ def _analyze_subspace(m: MatSubspace, tag: str) -> tuple[dict, int]:
     report["bracket_power_containment"] = {
         str(k): is_lie_n_product_system(m, k) for k in range(2, 6)
     }
-    from .lie import lie_closure
-
     envelope = lie_closure(list(m.basis_mats), ambient_dim=m.ambient_dim)
     report["envelope_dim"] = envelope.dim
     report["envelope_solvable"] = is_solvable(envelope)
@@ -152,16 +146,27 @@ def _analyze_subspace(m: MatSubspace, tag: str) -> tuple[dict, int]:
     return report, 0
 
 
-def _cmd_analyze(doc: AlgebraDocument, args) -> int:
+def _materialize(doc: AlgebraDocument, args):
+    """The document's object, or None once an invalid grading or a set that
+    is not bracket-closed has been reported (exit 1)."""
     try:
-        obj = materialize(doc)
-    except GradingError as exc:
-        _emit({"grading_valid": False, "violation": str(exc)}, args.report)
+        return materialize(doc)
+    except (GradingError, NotClosedError) as exc:
+        report = {"grading_valid": False, "violation": str(exc)}
+        if getattr(exc, "witness", None) is not None:
+            report["witness_bracket"] = _matrix_to_json(exc.witness)
+        _emit(report, args.report)
+        return None
+
+
+def _cmd_analyze(doc: AlgebraDocument, args) -> int:
+    obj = _materialize(doc, args)
+    if obj is None:
         return 1
     try:
-        if isinstance(obj, LieAlgebra):
+        if doc.structure == "lie":
             report, code = _analyze_lie(obj)
-        elif isinstance(obj, SubgradedAlgebra):
+        elif doc.structure == "subgraded":
             report, code = _analyze_subgraded(obj)
         else:
             report, code = _analyze_subspace(obj, doc.structure)
@@ -176,13 +181,8 @@ def _cmd_analyze(doc: AlgebraDocument, args) -> int:
 def _cmd_grade_check(doc: AlgebraDocument, args) -> int:
     if doc.structure != "subgraded":
         raise DocumentError("$.structure", "grade-check requires structure=subgraded")
-    try:
-        s = materialize(doc)
-    except GradingError as exc:
-        report = {"grading_valid": False, "violation": str(exc)}
-        if exc.witness is not None:
-            report["witness_bracket"] = _matrix_json(exc.witness)
-        _emit(report, args.report)
+    s = _materialize(doc, args)
+    if s is None:
         return 1
     _emit(
         {
@@ -198,14 +198,14 @@ def _cmd_grade_check(doc: AlgebraDocument, args) -> int:
 
 
 def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
-    obj = materialize(doc)
-    if isinstance(obj, SubgradedAlgebra):
+    obj = _materialize(doc, args)
+    if obj is None:
+        return 1
+    if doc.structure == "subgraded":
         algebra = obj.algebra
-    elif isinstance(obj, LieAlgebra):
+    elif doc.structure == "lie":
         algebra = obj
     else:
-        from .lie import lie_closure
-
         algebra = lie_closure(list(obj.basis_mats), ambient_dim=obj.ambient_dim)
     if not is_solvable(algebra):
         _emit({"triangularizable": False, "solvable": False}, args.report)
@@ -219,7 +219,7 @@ def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
     report = {
         "triangularizable": True,
         "chain_dims": [s.dim for s in flag.chain],
-        "basis_change": _matrix_json(flag.basis_change),
+        "basis_change": _matrix_to_json(flag.basis_change),
         "chain": [
             [_vector_json(v) for v in sub.basis_vectors()] for sub in flag.chain
         ],
@@ -235,13 +235,10 @@ def _vector_json(vec) -> list:
 
 
 def _cmd_irreducible(doc: AlgebraDocument, args) -> int:
-    obj = materialize(doc)
-    if isinstance(obj, SubgradedAlgebra):
-        mats = list(obj.algebra.basis_mats)
-    elif isinstance(obj, LieAlgebra):
-        mats = list(obj.basis_mats)
-    else:
-        mats = list(obj.basis_mats)
+    obj = _materialize(doc, args)
+    if obj is None:
+        return 1
+    mats = list((obj.algebra if doc.structure == "subgraded" else obj).basis_mats)
     if not mats:
         raise DocumentError("$", "irreducibility of the zero set is not defined")
     try:
@@ -315,33 +312,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input: bool):
-        if needs_input:
-            p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-        p.add_argument("--seed", type=int, default=0)
+    def with_input(p):
+        p.add_argument("--input", required=True, help="instance document (JSON)")
         p.add_argument("--report", choices=("json", "text"), default="text")
 
-    p_analyze = sub.add_parser("analyze", help="full structural report for a document")
-    common(p_analyze, True)
-    p_grade = sub.add_parser("grade-check", help="verify grading data")
-    common(p_grade, True)
+    with_input(sub.add_parser("analyze", help="full structural report for a document"))
+    with_input(sub.add_parser("grade-check", help="verify grading data"))
     p_tri = sub.add_parser("triangularize", help="flag certificate for a solvable instance")
-    common(p_tri, True)
-    p_irr = sub.add_parser("irreducible", help="irreducibility verdict with witness")
-    common(p_irr, True)
+    with_input(p_tri)
+    p_tri.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    with_input(sub.add_parser("irreducible", help="irreducibility verdict with witness"))
     p_fuzz = sub.add_parser("fuzz", help="run a seeded campaign")
     p_fuzz.add_argument("--lemma", required=True, help="campaign name or alias")
     p_fuzz.add_argument("--trials", type=int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--dim-max", type=int, default=4)
-    p_fuzz.add_argument("--tol", type=float, default=1e-9)
     p_fuzz.add_argument("--report", choices=("json", "text"), default="text")
     p_ex = sub.add_parser("example", help="built-in worked examples")
     p_ex.add_argument("name", choices=EXAMPLE_NAMES)
     p_ex.add_argument("--emit", action="store_true", help="write the document JSON")
-    p_ex.add_argument("--tol", type=float, default=1e-9)
-    p_ex.add_argument("--seed", type=int, default=0)
     p_ex.add_argument("--report", choices=("json", "text"), default="text")
     return parser
 

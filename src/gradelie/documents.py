@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import GaussianRational, ScalarParseError, format_scalar, parse_scalar
 from .matrices import Mat
 from .groups import FinAbGroup
-from .lie import LieAlgebra, lie_closure
+from .subspaces import LieAlgebra, MatSubspace, span_basis_mats
+from .lie import lie_closure
 from .grading import SubgradedAlgebra, verify_subgrading
-from .structures import MatSubspace
 
 __all__ = [
     "AlgebraDocument",
@@ -57,6 +58,32 @@ class AlgebraDocument:
     mode: str = "exact"
 
 
+def _parse_int(digits: str):
+    # beyond the interpreter's digit limit a bare integer stays a literal, so
+    # reading it where a number belongs fails with a positional error
+    try:
+        return int(digits)
+    except ValueError:
+        return digits
+
+
+def _path_to(value, target, path: str = "$"):
+    """The JSON path of the object ``target`` inside ``value``, or None."""
+    if value is target:
+        return path
+    if isinstance(value, dict):
+        children = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for child_path, child in children:
+        found = _path_to(child, target, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def _parse_entry(value, path: str, mode: str) -> GaussianRational:
     if isinstance(value, bool):
         raise DocumentError(path, "boolean is not a matrix entry")
@@ -65,6 +92,8 @@ def _parse_entry(value, path: str, mode: str) -> GaussianRational:
     if isinstance(value, float):
         if mode == "exact":
             raise DocumentError(path, f"floating literal {value!r} rejected in exact mode")
+        if not math.isfinite(value):
+            raise DocumentError(path, f"non-finite literal {value!r}")
         return GaussianRational(Fraction(value))
     if isinstance(value, str):
         try:
@@ -163,10 +192,24 @@ def parse_document(data: dict) -> AlgebraDocument:
 
 
 def loads_document(text: str) -> AlgebraDocument:
+    repeated = []  # (object, its first repeated key), innermost first
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated.append((obj, next(k for i, k in enumerate(keys) if k in keys[:i])))
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=pairs_hook, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"$ (line {exc.lineno}, column {exc.colno})", exc.msg)
+    for obj, key in repeated:
+        # an object under a key that was itself repeated may be gone
+        path = _path_to(data, obj)
+        if path is not None:
+            raise DocumentError(path, f"duplicate key {key!r}")
     return parse_document(data)
 
 
@@ -207,15 +250,15 @@ def materialize(doc: AlgebraDocument):
     """Build the object a document describes.
 
     lie -> LieAlgebra (closure of the generators); subgraded ->
-    SubgradedAlgebra (grading law verified); triple / jordan -> MatSubspace
-    (closure laws are decided by analysis, not parsing).
+    SubgradedAlgebra (closure and grading law verified); triple / jordan ->
+    MatSubspace (closure laws are decided by analysis, not parsing).
     """
     if doc.structure == "lie":
         return lie_closure(list(doc.generators), ambient_dim=doc.ambient_dim)
     if doc.structure == "subgraded":
         if doc.components is not None:
             all_mats = [m for mats in doc.components.values() for m in mats]
-            algebra = LieAlgebra.from_matrices(all_mats, doc.ambient_dim)
+            algebra = LieAlgebra.from_matrices(all_mats, doc.ambient_dim, verify=True)
             return verify_subgrading(algebra, doc.group, doc.components)
         algebra = lie_closure(list(doc.generators), ambient_dim=doc.ambient_dim)
         return verify_subgrading(
@@ -225,10 +268,14 @@ def materialize(doc: AlgebraDocument):
 
 
 def document_from(obj, structure: str | None = None) -> AlgebraDocument:
-    """Serialize a core object back into a replayable document."""
-    from .subspaces import span_basis_mats
+    """Serialize a core object back into a replayable document.
 
-    if isinstance(obj, SubgradedAlgebra):
+    The structure tag defaults to "subgraded" for a SubgradedAlgebra and to
+    "lie" otherwise; pass "triple" or "jordan" for a plain MatSubspace.
+    """
+    if structure is None:
+        structure = "subgraded" if isinstance(obj, SubgradedAlgebra) else "lie"
+    if structure == "subgraded":
         comps = {
             g: tuple(span_basis_mats(s, obj.algebra.ambient_dim))
             for g, s in obj.components.items()
@@ -237,11 +284,6 @@ def document_from(obj, structure: str | None = None) -> AlgebraDocument:
         return AlgebraDocument(
             obj.algebra.ambient_dim, "subgraded", obj.group, None, comps
         )
-    if isinstance(obj, LieAlgebra):
-        return AlgebraDocument(
-            obj.ambient_dim, "lie", None, tuple(obj.basis_mats), None
-        )
-    if isinstance(obj, MatSubspace):
-        tag = structure or "triple"
-        return AlgebraDocument(obj.ambient_dim, tag, None, tuple(obj.basis_mats), None)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if structure not in _STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
+    return AlgebraDocument(obj.ambient_dim, structure, None, tuple(obj.basis_mats), None)

@@ -147,9 +147,9 @@ def _close_under(
     while True:
         basis = span_basis_mats(span, n)
         fresh = [w for w in products(basis) if not w.is_zero()]
-        new_span = span if not fresh else subspace_sum(span, mat_span(fresh, n))
+        new_span = subspace_sum(span, mat_span(fresh, n))
         if new_span == span:
-            return MatSubspace.from_matrices(basis, n)
+            return MatSubspace.from_span(span, n)
         span = new_span
 
 

@@ -8,7 +8,6 @@ decided by polynomial identities rather than sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,14 +15,21 @@ from .matrices import (
     Mat,
     ShapeError,
     bracket,
-    flatten,
     is_nilpotent_exact,
     jordan_product,
     trace_product,
     triple_product,
 )
-from .scalars import GaussianRational
-from .subspaces import Subspace, _Echelon, _left_kernel, mat_span, span_basis_mats
+from .subspaces import (
+    LieAlgebra,
+    NotClosedError,
+    Subspace,
+    _Echelon,
+    linear_relations,
+    mat_span,
+    span_basis_mats,
+    stack_vertical,
+)
 
 __all__ = [
     "LieAlgebra",
@@ -53,10 +59,6 @@ __all__ = [
 ]
 
 
-class NotClosedError(ValueError):
-    """A set of matrices expected to be bracket-closed is not."""
-
-
 class NormalizerError(ValueError):
     """An element does not normalize the algebra it is applied to."""
 
@@ -67,71 +69,6 @@ class ClosureCapError(RuntimeError):
 
 class PreconditionError(ValueError):
     """A stated operation precondition was violated by the inputs."""
-
-
-class LieAlgebra:
-    """A bracket-closed subspace of gl(n) with a canonical matrix basis."""
-
-    __slots__ = ("ambient_dim", "basis_mats", "span")
-
-    def __init__(self, ambient_dim: int, basis_mats: tuple[Mat, ...], span: Subspace):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis_mats", basis_mats)
-        object.__setattr__(self, "span", span)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    @classmethod
-    def from_matrices(
-        cls, mats: Sequence[Mat], ambient_dim: int | None = None, verify: bool = True
-    ) -> "LieAlgebra":
-        mats = [m for m in mats if not m.is_zero()]
-        if ambient_dim is None:
-            if not mats:
-                raise ValueError("ambient_dim required for the zero algebra")
-            ambient_dim = mats[0].n_rows
-        span = mat_span(mats, ambient_dim)
-        basis = tuple(span_basis_mats(span, ambient_dim))
-        alg = cls(ambient_dim, basis, span)
-        if verify:
-            ech = span._echelon()
-            for i, a in enumerate(basis):
-                for b in basis[i + 1 :]:
-                    row = _mat_row(bracket(a, b))
-                    ech.reduce(row)
-                    if any(row[0]) or any(row[1]):
-                        raise NotClosedError(
-                            "matrix set is not closed under the commutator"
-                        )
-        return alg
-
-    @classmethod
-    def from_span(cls, span: Subspace, ambient_dim: int) -> "LieAlgebra":
-        """Trusted constructor for spans already known to be bracket-closed."""
-        return cls(ambient_dim, tuple(span_basis_mats(span, ambient_dim)), span)
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def contains_mat(self, m: Mat) -> bool:
-        if m.shape != (self.ambient_dim, self.ambient_dim):
-            return False
-        row = _mat_row(m)
-        self.span._echelon().reduce(row)
-        return not any(row[0]) and not any(row[1])
-
-    def __eq__(self, other):
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.span == other.span
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.span))
-
-    def __repr__(self):
-        return f"LieAlgebra(dim {self.dim} in gl({self.ambient_dim}))"
 
 
 @dataclass(frozen=True)
@@ -145,10 +82,6 @@ class SeriesReport:
 @dataclass(frozen=True)
 class KillingGram:
     gram: Mat
-
-
-def _mat_row(m: Mat):
-    return [list(m.re), list(m.im), m.den]
 
 
 def lie_closure(
@@ -175,15 +108,14 @@ def lie_closure(
         m = work.pop()
         if m.is_zero():
             continue
-        if not ech.insert(_mat_row(m)):
+        if not ech.add(m):
             continue
         for b in basis:
             work.append(bracket(m, b))
         basis.append(m)
         if len(basis) > cap:
             raise ClosureCapError(f"closure exceeded cap {cap}")
-    span = Subspace(n * n, ech.basis_mat())
-    return LieAlgebra(n, tuple(span_basis_mats(span, n)), span)
+    return LieAlgebra.from_span(ech.subspace(), n)
 
 
 def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:
@@ -193,11 +125,10 @@ def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:
         raise ShapeError(f"expected a {n}x{n} matrix")
     d = algebra.dim
     ech = algebra.span._echelon()
-    cols: list[list[GaussianRational]] = []
+    cols = []
     for b in algebra.basis_mats:
-        row = _mat_row(bracket(a, b))
-        residue, coords = ech.reduce_with_coords(row)
-        if any(residue[0]) or any(residue[1]):
+        coords = ech.coordinates(bracket(a, b))
+        if coords is None:
             raise NormalizerError("element does not normalize the algebra")
         cols.append(coords)
     return Mat.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
@@ -208,12 +139,12 @@ def _bracket_span(left: Sequence[Mat], right: Sequence[Mat], n: int, same: bool)
     if same:
         for i, a in enumerate(left):
             for b in left[i + 1 :]:
-                ech.insert(_mat_row(bracket(a, b)))
+                ech.add(bracket(a, b))
     else:
         for a in left:
             for b in right:
-                ech.insert(_mat_row(bracket(a, b)))
-    return Subspace(n * n, ech.basis_mat())
+                ech.add(bracket(a, b))
+    return ech.subspace()
 
 
 def _series(algebra: LieAlgebra, kind: str) -> SeriesReport:
@@ -392,34 +323,13 @@ def trace_orthogonal_ideal(algebra: LieAlgebra) -> Subspace:
     """The ideal {x in L : tr(x b) = 0 for every b in L}."""
     n = algebra.ambient_dim
     basis = algebra.basis_mats
-    d = len(basis)
-    if d == 0:
+    if not basis:
         return Subspace.zero(n * n)
-    gram_rows = []
-    for a in basis:
-        row = [trace_product(a, b) for b in basis]
-        gram_rows.append(_values_row(row))
-    combos = _left_kernel(gram_rows, d)
-    mats = []
-    for combo in combos:
-        acc = Mat.zeros(n)
-        for coeff, b in zip(combo, basis):
-            acc = acc + b.scale(coeff)
-        mats.append(acc)
-    ideal = mat_span(mats, n)
+    gram = [[trace_product(a, b) for b in basis] for a in basis]
+    ideal = mat_span([algebra.combination(c) for c in linear_relations(gram)], n)
     if not is_ideal(algebra, ideal):
         raise AssertionError("trace-orthogonal subspace failed the ideal check")
     return ideal
-
-
-def _values_row(values: Sequence[GaussianRational]):
-    den = 1
-    for v in values:
-        den = den * v.re.denominator // math.gcd(den, v.re.denominator)
-        den = den * v.im.denominator // math.gcd(den, v.im.denominator)
-    re = [int(v.re * den) for v in values]
-    im = [int(v.im * den) for v in values]
-    return [re, im, den]
 
 
 def is_ideal(algebra: LieAlgebra, candidate: Subspace) -> bool:
@@ -428,44 +338,20 @@ def is_ideal(algebra: LieAlgebra, candidate: Subspace) -> bool:
     if not algebra.span.contains_subspace(candidate):
         raise PreconditionError("candidate subspace is not inside the algebra")
     cand_mats = span_basis_mats(candidate, n)
-    ech = candidate._echelon()
-    for b in algebra.basis_mats:
-        for x in cand_mats:
-            row = _mat_row(bracket(b, x))
-            ech.reduce(row)
-            if any(row[0]) or any(row[1]):
-                return False
-    return True
+    return candidate.contains_all(
+        bracket(b, x) for b in algebra.basis_mats for x in cand_mats
+    )
 
 
 def center(algebra: LieAlgebra) -> Subspace:
     """Kernel of all adjoint maps, as a subspace of flattened gl(n)."""
     n = algebra.ambient_dim
     basis = algebra.basis_mats
-    d = len(basis)
-    if d == 0:
+    if not basis:
         return Subspace.zero(n * n)
-    rows = []
-    for a in basis:
-        re_cat: list[int] = []
-        im_cat: list[int] = []
-        den = 1
-        parts = [bracket(a, b) for b in basis]
-        for p in parts:
-            den = den * p.den // math.gcd(den, p.den)
-        for p in parts:
-            f = den // p.den
-            re_cat.extend(v * f for v in p.re)
-            im_cat.extend(v * f for v in p.im)
-        rows.append([re_cat, im_cat, den])
-    combos = _left_kernel(rows, d * n * n)
-    mats = []
-    for combo in combos:
-        acc = Mat.zeros(n)
-        for coeff, b in zip(combo, basis):
-            acc = acc + b.scale(coeff)
-        mats.append(acc)
-    return mat_span(mats, n)
+    # sum_i c_i b_i is central iff sum_i c_i [b_i, b_j] = 0 for every j
+    ads = [stack_vertical([bracket(a, b) for b in basis]) for a in basis]
+    return mat_span([algebra.combination(c) for c in linear_relations(ads)], n)
 
 
 def is_scalar_set(v: Subspace, side: int | None = None) -> bool:
@@ -489,17 +375,3 @@ def engel_sum_check(algebra: LieAlgebra, a: Mat, b: Mat) -> bool:
         if not is_engel_element(algebra, m):
             raise PreconditionError(f"{name} is not an Engel element")
     return is_engel_element(algebra, a + b)
-
-
-def ad_image_mats(algebra: LieAlgebra, mats: Sequence[Mat]) -> list[Mat]:
-    """Adjoint matrices of the given members, for nil-subspace decisions."""
-    return [ad_matrix(algebra, m) for m in mats]
-
-
-def jacobi_defect(a: Mat, b: Mat, c: Mat) -> Mat:
-    """[a,[b,c]] + [b,[c,a]] + [c,[a,b]]; identically zero, kept for tests."""
-    return (
-        bracket(a, bracket(b, c))
-        + bracket(b, bracket(c, a))
-        + bracket(c, bracket(a, b))
-    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 __all__ = ["GaussianRational", "Q", "parse_scalar", "format_scalar", "ScalarParseError"]
@@ -140,10 +141,20 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def _int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # the grammar admits only digits: the digit limit was hit
+        raise ScalarParseError(
+            f"{what}: integer of {len(tok.lstrip('+-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _check_lowest_terms(tok: str, what: str) -> Fraction:
     if "/" in tok:
         num, den = tok.split("/")
-        n, d = int(num), int(den)
+        n, d = _int(num, what), _int(den, what)
         if d <= 0:
             raise ScalarParseError(f"{what}: denominator must be positive in {tok!r}")
         if d == 1:
@@ -151,7 +162,7 @@ def _check_lowest_terms(tok: str, what: str) -> Fraction:
         if math.gcd(abs(n), d) != 1:
             raise ScalarParseError(f"{what}: {tok!r} is not in lowest terms")
         return Fraction(n, d)
-    return Fraction(int(tok))
+    return Fraction(_int(tok, what))
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -23,8 +23,6 @@ from .scalars import GaussianRational
 from .subspaces import (
     Subspace,
     _Echelon,
-    _row_from_values,
-    _row_first_nonzero,
     canonicalize,
     column_kernel,
     mat_inverse,
@@ -134,13 +132,12 @@ def _assoc_closure(mats: Sequence[Mat], n: int) -> tuple[list[Mat], Subspace]:
     while head < len(queue):
         m = queue[head]
         head += 1
-        row = [list(m.re), list(m.im), m.den]
-        if not ech.insert(row):
+        if not ech.add(m):
             continue
         basis.append(m)
         for g in mats:
             queue.append(g @ m)
-    return basis, Subspace(n * n, ech.basis_mat())
+    return basis, ech.subspace()
 
 
 def assoc_closure_dim(mats: Sequence[Mat]) -> int:
@@ -179,29 +176,20 @@ def _mat_vec(m: Mat, vec: Sequence[GaussianRational]) -> tuple[GaussianRational,
 def _orbit_span(mats: Sequence[Mat], vec, n: int) -> Subspace:
     """Smallest subspace containing vec and invariant under every matrix."""
     ech = _Echelon(n)
-    vectors: list[tuple[GaussianRational, ...]] = []
     queue = [tuple(vec)]
     head = 0
     while head < len(queue):
         v = queue[head]
         head += 1
-        if not ech.insert(_row_from_values(v)):
+        if not ech.add(v):
             continue
-        vectors.append(v)
         for g in mats:
             queue.append(_mat_vec(g, v))
-    return Subspace(n, ech.basis_mat())
+    return ech.subspace()
 
 
 def _verify_invariant(mats: Sequence[Mat], space: Subspace) -> bool:
-    ech = space._echelon()
-    for v in space.basis_vectors():
-        for g in mats:
-            row = _row_from_values(_mat_vec(g, v))
-            ech.reduce(row)
-            if _row_first_nonzero(row, space.ambient_dim) >= 0:
-                return False
-    return True
+    return space.contains_all(_mat_vec(g, v) for v in space.basis_vectors() for g in mats)
 
 
 def _rationalize_complex(z: complex, tol: float = 1e-9) -> GaussianRational | None:
@@ -307,14 +295,14 @@ def _complete_basis(vec: Sequence[GaussianRational], m: int) -> Mat:
     """An invertible matrix whose first column is vec."""
     ech = _Echelon(m)
     cols = [tuple(vec)]
-    ech.insert(_row_from_values(vec))
+    ech.add(vec)
     one = GaussianRational(1)
     zero = GaussianRational(0)
     for i in range(m):
         if len(cols) == m:
             break
         e = tuple(one if j == i else zero for j in range(m))
-        if ech.insert(_row_from_values(e)):
+        if ech.add(e):
             cols.append(e)
     return Mat.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
 
@@ -379,17 +367,17 @@ def _common_eigenvector(mats: Sequence[Mat], m: int) -> tuple[GaussianRational, 
     ech = _Echelon(m * m)
     k_mats: list[Mat] = []
     for w in derived:
-        if ech.insert([list(w.re), list(w.im), w.den]):
+        if ech.add(w):
             k_mats.append(w)
     z_mat = None
     for b in algebra.basis_mats:
         if len(k_mats) == d - 1:
             # the rest of the basis stays outside; pick the first independent one as z
-            if not ech.insert([list(b.re), list(b.im), b.den]):
+            if not ech.add(b):
                 continue
             z_mat = b
             break
-        if ech.insert([list(b.re), list(b.im), b.den]):
+        if ech.add(b):
             k_mats.append(b)
     if z_mat is None:
         raise TriangularizationError("could not split a codimension-one ideal")
@@ -411,15 +399,14 @@ def _common_eigenvector(mats: Sequence[Mat], m: int) -> tuple[GaussianRational, 
         ]
     w_ech = _Echelon(m)
     for wv in w_vectors:
-        w_ech.insert(_row_from_values(wv))
+        w_ech.add(wv)
     # coordinates below come from the echelon, so the basis must too
-    w_basis = w_ech.value_rows()
+    w_basis = w_ech.subspace().basis_vectors()
     t = len(w_basis)
     z_cols = []
     for wv in w_basis:
-        zw = _mat_vec(z_mat, wv)
-        row, coords = w_ech.reduce_with_coords(_row_from_values(zw))
-        if _row_first_nonzero(row, m) >= 0:
+        coords = w_ech.coordinates(_mat_vec(z_mat, wv))
+        if coords is None:
             raise TriangularizationError("weight space is not invariant")
         z_cols.append(coords)
     z_small = (
@@ -520,20 +507,10 @@ def verify_flag(mats: Sequence, flag: Flag, tol: float = 0.0) -> FlagReport:
     """
     exact = tol == 0.0 and all(isinstance(m, Mat) for m in mats)
     if exact:
-        entries = []
-        for idx, m in enumerate(mats):
-            ok = True
-            for sub in flag.chain:
-                ech = sub._echelon()
-                for v in sub.basis_vectors():
-                    row = _row_from_values(_mat_vec(m, v))
-                    ech.reduce(row)
-                    if _row_first_nonzero(row, sub.ambient_dim) >= 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            entries.append(FlagEntry(idx, ok, 0.0))
+        entries = [
+            FlagEntry(idx, all(_verify_invariant([m], sub) for sub in flag.chain), 0.0)
+            for idx, m in enumerate(mats)
+        ]
         return FlagReport("exact", tuple(entries))
     u = to_numeric(flag.basis_change).array
     u_inv = np.linalg.inv(u)

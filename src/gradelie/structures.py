@@ -9,12 +9,11 @@ and may fail to be direct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .matrices import Mat, bracket, jordan_product
-from .subspaces import Subspace, mat_span, span_basis_mats, subspace_sum
+from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats, subspace_sum
 from .groups import FinAbGroup
-from .lie import LieAlgebra, PreconditionError, is_ideal
+from .lie import LieAlgebra, NotClosedError, PreconditionError, is_ideal
 from .grading import SubgradedAlgebra, verify_subgrading
 
 __all__ = [
@@ -38,57 +37,6 @@ class IdealChainError(AssertionError):
     """The embedded Jordan ideal chain failed an exact ideal verification."""
 
 
-class MatSubspace:
-    """A plain subspace of gl(n) with a canonical matrix basis (no closure assumed)."""
-
-    __slots__ = ("ambient_dim", "basis_mats", "span")
-
-    def __init__(self, ambient_dim: int, basis_mats: tuple[Mat, ...], span: Subspace):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis_mats", basis_mats)
-        object.__setattr__(self, "span", span)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatSubspace is immutable")
-
-    @classmethod
-    def from_matrices(cls, mats: Sequence[Mat], ambient_dim: int | None = None) -> "MatSubspace":
-        mats = [m for m in mats if not m.is_zero()]
-        if ambient_dim is None:
-            if not mats:
-                raise ValueError("ambient_dim required for the zero subspace")
-            ambient_dim = mats[0].n_rows
-        span = mat_span(mats, ambient_dim)
-        return cls(ambient_dim, tuple(span_basis_mats(span, ambient_dim)), span)
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def contains_mat(self, m: Mat) -> bool:
-        from .matrices import flatten
-
-        return self.span.contains(flatten(m))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatSubspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.span == other.span
-
-    def __repr__(self):
-        return f"MatSubspace(dim {self.dim} in gl({self.ambient_dim}))"
-
-
-def _contains_all(span: Subspace, mats: Sequence[Mat]) -> bool:
-    ech = span._echelon()
-    for m in mats:
-        row = [list(m.re), list(m.im), m.den]
-        ech.reduce(row)
-        if any(row[0]) or any(row[1]):
-            return False
-    return True
-
-
 def is_lie_triple_system(m: MatSubspace) -> bool:
     """Closure under [a, [b, c]] on all basis triples."""
     basis = m.basis_mats
@@ -100,7 +48,7 @@ def is_lie_triple_system(m: MatSubspace) -> bool:
                 continue
             for a in basis:
                 products.append(bracket(a, inner))
-    return _contains_all(m.span, products)
+    return m.span.contains_all(products)
 
 
 def m_bracket_powers(m: MatSubspace, k: int) -> list[Mat]:
@@ -121,41 +69,31 @@ def is_lie_n_product_system(m: MatSubspace, n: int) -> bool:
     """True iff span M^[n] lies inside span M."""
     if n < 2:
         raise ValueError("product-system index starts at 2")
-    return _contains_all(m.span, m_bracket_powers(m, n))
+    return m.span.contains_all(m_bracket_powers(m, n))
+
+
+def _bracket_part(m: MatSubspace) -> Subspace:
+    """span [M, M], spanned by the brackets of basis pairs."""
+    basis = m.basis_mats
+    brackets = (bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :])
+    return mat_span([w for w in brackets if not w.is_zero()], m.ambient_dim)
 
 
 def triple_envelope(m: MatSubspace) -> LieAlgebra:
     """The Lie algebra a triple system generates: span M + span [M, M]."""
     if not is_lie_triple_system(m):
         raise PreconditionError("subspace is not closed under the triple product")
-    basis = m.basis_mats
-    brackets = [
-        bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :]
-    ]
-    total = m.span
-    live = [w for w in brackets if not w.is_zero()]
-    if live:
-        total = subspace_sum(total, mat_span(live, m.ambient_dim))
+    total = subspace_sum(m.span, _bracket_part(m))
     return LieAlgebra.from_matrices(
-        span_basis_mats(total, m.ambient_dim), m.ambient_dim
+        span_basis_mats(total, m.ambient_dim), m.ambient_dim, verify=True
     )
 
 
 def triple_to_z2(m: MatSubspace) -> SubgradedAlgebra:
     """Embed a triple system as the odd part of a two-component subgraded algebra."""
     envelope = triple_envelope(m)
-    basis = m.basis_mats
-    brackets = [
-        bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :]
-    ]
-    live = [w for w in brackets if not w.is_zero()]
-    even = (
-        mat_span(live, m.ambient_dim)
-        if live
-        else Subspace.zero(m.ambient_dim ** 2)
-    )
     return verify_subgrading(
-        envelope, FinAbGroup([2]), {(0,): even, (1,): m.span}
+        envelope, FinAbGroup([2]), {(0,): _bracket_part(m), (1,): m.span}
     )
 
 
@@ -165,7 +103,7 @@ def is_jordan_algebra(j: MatSubspace) -> bool:
     products = [
         jordan_product(a, b) for i, a in enumerate(basis) for b in basis[i:]
     ]
-    return _contains_all(j.span, products)
+    return j.span.contains_all(products)
 
 
 def is_jordan_ideal(j: MatSubspace, i: MatSubspace) -> bool:
@@ -173,7 +111,7 @@ def is_jordan_ideal(j: MatSubspace, i: MatSubspace) -> bool:
     if not j.span.contains_subspace(i.span):
         raise PreconditionError("candidate ideal is not inside the Jordan algebra")
     products = [jordan_product(a, x) for a in j.basis_mats for x in i.basis_mats]
-    return _contains_all(i.span, products)
+    return i.span.contains_all(products)
 
 
 def jordan_to_z2(j: MatSubspace) -> SubgradedAlgebra:
@@ -198,18 +136,14 @@ def jordan_ideal_chain(j: MatSubspace, i: MatSubspace) -> JordanIdealChain:
         raise PreconditionError("inner subspace is not a Jordan ideal")
     li = triple_envelope(i)
     lj = triple_envelope(j)
-    mixed_span = i.span
-    cross = [
-        bracket(a, x) for a in j.basis_mats for x in i.basis_mats
-    ]
+    cross = (bracket(a, x) for a in j.basis_mats for x in i.basis_mats)
     live = [w for w in cross if not w.is_zero()]
-    if live:
-        mixed_span = subspace_sum(mixed_span, mat_span(live, j.ambient_dim))
+    mixed_span = subspace_sum(i.span, mat_span(live, j.ambient_dim))
     try:
         lji = LieAlgebra.from_matrices(
-            span_basis_mats(mixed_span, j.ambient_dim), j.ambient_dim
+            span_basis_mats(mixed_span, j.ambient_dim), j.ambient_dim, verify=True
         )
-    except Exception as exc:
+    except NotClosedError as exc:
         raise IdealChainError(f"I + [J, I] is not bracket-closed: {exc}") from exc
     if not lji.span.contains_subspace(li.span):
         raise IdealChainError("L(I) escapes L(J, I)")
@@ -226,15 +160,12 @@ def jordan_ideal_generated(j: MatSubspace, seed: Mat) -> MatSubspace:
     """Smallest Jordan ideal of j containing the seed element."""
     if not j.contains_mat(seed):
         raise PreconditionError("seed element is outside the Jordan algebra")
-    current = [seed] if not seed.is_zero() else []
-    if not current:
-        return MatSubspace.from_matrices([], j.ambient_dim)
-    span = mat_span(current, j.ambient_dim)
+    span = mat_span([seed], j.ambient_dim)
     while True:
         basis = span_basis_mats(span, j.ambient_dim)
         products = [jordan_product(a, x) for a in j.basis_mats for x in basis]
         live = [w for w in products if not w.is_zero()]
-        new_span = span if not live else subspace_sum(span, mat_span(live, j.ambient_dim))
+        new_span = subspace_sum(span, mat_span(live, j.ambient_dim))
         if new_span == span:
-            return MatSubspace.from_matrices(basis, j.ambient_dim)
+            return MatSubspace.from_span(span, j.ambient_dim)
         span = new_span

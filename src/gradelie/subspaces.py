@@ -4,7 +4,10 @@ A Subspace is held as a reduced row-echelon basis, so equality of subspaces
 is plain structural equality of their basis matrices.  The elimination engine
 works on scaled Gaussian-integer rows (numerator lists plus one denominator
 per row) and skips zero coefficients, which keeps block-structured inputs
-cheap.
+cheap.  This module is the only one that knows that row format: everything
+else hands it matrices (read row-major) or vectors.  MatSubspace, a subspace
+of gl(n) with its canonical matrix basis, is defined here too; a Lie algebra
+is a bracket-closed one, and ``LieAlgebra`` names the same class.
 """
 
 from __future__ import annotations
@@ -13,15 +16,18 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Mat, ShapeError
+from .matrices import Mat, ShapeError, bracket
 from .scalars import GaussianRational
 
 __all__ = [
     "Subspace",
+    "MatSubspace",
+    "LieAlgebra",
+    "NotClosedError",
     "canonicalize",
     "subspace_sum",
     "subspace_intersect",
-    "subspace_contains",
+    "linear_relations",
     "mat_span",
     "span_basis_mats",
     "column_kernel",
@@ -49,6 +55,21 @@ def _row_from_values(values: Sequence) -> _Row:
     re = [int(fr * den) for fr, _ in pairs]
     im = [int(fi * den) for _, fi in pairs]
     return [re, im, den]
+
+
+def _as_row(x, width: int | None = None) -> _Row:
+    """The working row of a vector, or of a matrix read row-major."""
+    if isinstance(x, Mat):
+        row = [list(x.re), list(x.im), x.den]
+    else:
+        row = _row_from_values(x)
+    if width is not None and len(row[0]) != width:
+        raise ShapeError(f"vector of length {len(row[0])} against ambient {width}")
+    return row
+
+
+def _row_is_zero(row: _Row) -> bool:
+    return not any(row[0]) and not any(row[1])
 
 
 def _row_normalize(row: _Row) -> None:
@@ -128,14 +149,6 @@ class _Echelon:
             _row_eliminate(row, prow, col)
         return row
 
-    def reduce_with_coords(self, row: _Row):
-        coords = []
-        for prow, col in zip(self.rows, self.pivots):
-            a, b = row[0][col], row[1][col]
-            coords.append(GaussianRational(Fraction(a, row[2]), Fraction(b, row[2])))
-            _row_eliminate(row, prow, col)
-        return row, coords
-
     def insert(self, row: _Row) -> bool:
         """Insert a (copy-safe) row; True when the rank grew."""
         self.reduce(row)
@@ -152,21 +165,30 @@ class _Echelon:
         self.pivots.insert(pos, col)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def add(self, x) -> bool:
+        """Insert a vector or a matrix (read row-major); True when the rank grew."""
+        return self.insert(_as_row(x, self.n_cols))
 
-    def value_rows(self) -> list[tuple[GaussianRational, ...]]:
-        """The stored rows as exact value vectors, in pivot order."""
-        out = []
-        for re, im, den in self.rows:
-            out.append(
-                tuple(
-                    GaussianRational(Fraction(r, den), Fraction(i, den))
-                    for r, i in zip(re, im)
-                )
-            )
-        return out
+    def outside(self, items):
+        """The first item (vector or matrix) outside the span, or None."""
+        for x in items:
+            if not _row_is_zero(self.reduce(_as_row(x, self.n_cols))):
+                return x
+        return None
+
+    def coordinates(self, x):
+        """Coefficients of x against the stored rows, or None if x is outside."""
+        row = _as_row(x, self.n_cols)
+        coords = []
+        for prow, col in zip(self.rows, self.pivots):
+            a, b = row[0][col], row[1][col]
+            coords.append(GaussianRational(Fraction(a, row[2]), Fraction(b, row[2])))
+            _row_eliminate(row, prow, col)
+        return coords if _row_is_zero(row) else None
+
+    def subspace(self) -> "Subspace":
+        """The span of the stored rows, in canonical form."""
+        return Subspace(self.n_cols, self.basis_mat())
 
     def basis_mat(self) -> Mat:
         den = 1
@@ -213,41 +235,33 @@ class Subspace:
         return [tuple(m.entry(i, j) for j in range(m.n_cols)) for i in range(m.n_rows)]
 
     def _echelon(self) -> _Echelon:
+        """An accumulator holding the stored rows; they are reduced already."""
         ech = _Echelon(self.ambient_dim)
-        for row in _rows_of(self.basis_rows):
-            ech.insert(row)
+        ech.rows = _rows_of(self.basis_rows)
+        ech.pivots = [_row_first_nonzero(row, self.ambient_dim) for row in ech.rows]
         return ech
 
-    def contains(self, vector: Sequence) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise ShapeError(
-                f"vector of length {len(vector)} against ambient {self.ambient_dim}"
-            )
-        row = _row_from_values(vector)
-        residue = self._echelon().reduce(row)
-        return _row_first_nonzero(residue, self.ambient_dim) < 0
+    def contains(self, x) -> bool:
+        """Whether the vector, or the matrix read row-major, lies in the subspace."""
+        return self._echelon().outside([x]) is None
+
+    def contains_all(self, items) -> bool:
+        """Whether every item (vector or matrix) lies in the subspace."""
+        return self._echelon().outside(items) is None
+
+    def outside(self, items):
+        """The first of the items (vectors or matrices) outside the subspace, or None."""
+        return self._echelon().outside(items)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
         ech = self._echelon()
-        for row in _rows_of(other.basis_rows):
-            ech.reduce(row)
-            if _row_first_nonzero(row, self.ambient_dim) >= 0:
-                return False
-        return True
+        return all(_row_is_zero(ech.reduce(row)) for row in _rows_of(other.basis_rows))
 
-    def coordinates(self, vector: Sequence):
-        """Coefficients of vector against the RREF basis, or None if outside."""
-        if len(vector) != self.ambient_dim:
-            raise ShapeError(
-                f"vector of length {len(vector)} against ambient {self.ambient_dim}"
-            )
-        row = _row_from_values(vector)
-        residue, coords = self._echelon().reduce_with_coords(row)
-        if _row_first_nonzero(residue, self.ambient_dim) >= 0:
-            return None
-        return coords
+    def coordinates(self, x):
+        """Coefficients of a vector or matrix against the RREF basis, or None if outside."""
+        return self._echelon().coordinates(x)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -268,10 +282,8 @@ def canonicalize(vectors: Sequence[Sequence], ambient_dim: int | None = None) ->
         ambient_dim = len(vectors[0]) if vectors else 0
     ech = _Echelon(ambient_dim)
     for v in vectors:
-        if len(v) != ambient_dim:
-            raise ShapeError("vectors of mismatched ambient dimension")
-        ech.insert(_row_from_values(v))
-    return Subspace(ambient_dim, ech.basis_mat())
+        ech.add(v)
+    return ech.subspace()
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -280,7 +292,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     ech = a._echelon()
     for row in _rows_of(b.basis_rows):
         ech.insert(row)
-    return Subspace(a.ambient_dim, ech.basis_mat())
+    return ech.subspace()
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -296,11 +308,21 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         for coeff, row in zip(combo[: a.dim], a_rows):
             _row_add_scaled(acc, row, coeff)
         ech.insert(acc)
-    return Subspace(k, ech.basis_mat())
+    return ech.subspace()
 
 
-def subspace_contains(a: Subspace, vector: Sequence) -> bool:
-    return a.contains(vector)
+def linear_relations(items: Sequence) -> list[list[GaussianRational]]:
+    """A basis of the coefficient vectors c with sum_i c_i * items_i = 0.
+
+    The items are vectors or matrices (read row-major) of one common length.
+    """
+    rows = [_as_row(x) for x in items]
+    if not rows:
+        return []
+    width = len(rows[0][0])
+    if any(len(row[0]) != width for row in rows):
+        raise ShapeError("relations among items of different lengths")
+    return _left_kernel(rows, width)
 
 
 def _rows_of(m: Mat) -> list[_Row]:
@@ -374,10 +396,8 @@ def mat_span(mats: Sequence[Mat], n: int | None = None) -> Subspace:
     for m in mats:
         if m.shape != (n, n):
             raise ShapeError("matrices of mixed shapes in span")
-        row = [list(m.re), list(m.im), m.den]
-        _row_normalize(row)
-        ech.insert(row)
-    return Subspace(n * n, ech.basis_mat())
+        ech.add(m)
+    return ech.subspace()
 
 
 def column_kernel(m: Mat) -> list[tuple[GaussianRational, ...]]:
@@ -438,3 +458,80 @@ def span_basis_mats(s: Subspace, n: int) -> list[Mat]:
         row = Mat._normalized(n, n, re, im, m.den)
         out.append(row)
     return out
+
+
+class NotClosedError(ValueError):
+    """A set of matrices expected to be bracket-closed is not."""
+
+
+class MatSubspace:
+    """A subspace of gl(n) with a canonical matrix basis.
+
+    No closure is assumed.  A Lie algebra is a bracket-closed one: build it
+    with ``from_matrices(..., verify=True)``, or with ``from_span`` when the
+    span is known to be closed.  ``LieAlgebra`` names this same class.
+    """
+
+    __slots__ = ("ambient_dim", "basis_mats", "span")
+
+    def __init__(self, ambient_dim: int, basis_mats: tuple[Mat, ...], span: Subspace):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis_mats", basis_mats)
+        object.__setattr__(self, "span", span)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatSubspace is immutable")
+
+    @classmethod
+    def from_matrices(
+        cls, mats: Sequence[Mat], ambient_dim: int | None = None, verify: bool = False
+    ) -> "MatSubspace":
+        """The span of the matrices; with verify, NotClosedError unless bracket-closed."""
+        mats = [m for m in mats if not m.is_zero()]
+        if ambient_dim is None:
+            if not mats:
+                raise ValueError("ambient_dim required for the zero subspace")
+            ambient_dim = mats[0].n_rows
+        sub = cls.from_span(mat_span(mats, ambient_dim), ambient_dim)
+        if verify:
+            basis = sub.basis_mats
+            brackets = (bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :])
+            if not sub.span.contains_all(brackets):
+                raise NotClosedError("matrix set is not closed under the commutator")
+        return sub
+
+    @classmethod
+    def from_span(cls, span: Subspace, ambient_dim: int) -> "MatSubspace":
+        """Trusted constructor: the span is taken as given, closure unchecked."""
+        return cls(ambient_dim, tuple(span_basis_mats(span, ambient_dim)), span)
+
+    @property
+    def dim(self) -> int:
+        return self.span.dim
+
+    def contains_mat(self, m: Mat) -> bool:
+        if m.shape != (self.ambient_dim, self.ambient_dim):
+            return False
+        return self.span.contains(m)
+
+    def combination(self, coeffs: Sequence) -> Mat:
+        """The member sum_i coeffs[i] * basis_mats[i]."""
+        acc = Mat.zeros(self.ambient_dim)
+        for c, b in zip(coeffs, self.basis_mats):
+            if c:
+                acc = acc + b.scale(c)
+        return acc
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.span == other.span
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.span))
+
+    def __repr__(self):
+        return f"MatSubspace(dim {self.dim} in gl({self.ambient_dim}))"
+
+
+LieAlgebra = MatSubspace

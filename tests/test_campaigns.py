@@ -36,3 +36,10 @@ def test_search_mode_asserts_nothing():
     result = run_campaign("three-product-search", trials=30, seed=0, dim_max=3)
     assert result.ok
     assert "irreducible_found" in result.notes
+
+
+def test_reducibility_is_decided_by_closure_dimension():
+    # both campaigns met reducible sets whose invariant subspaces are not
+    # defined over Q(i); Burnside's dimension count needs no witness
+    assert run_campaign("scalar-zero-engel", trials=30, seed=3).ok
+    assert run_campaign("odd-engel", trials=30, seed=3).ok

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gradelie.cli import main
 
 
@@ -141,3 +143,82 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["structure"] == "subgraded"
+
+
+FAULT_DOCS = {
+    # [E12, E21] = diag(1, -1) lies in no component: not bracket-closed
+    "not-closed": {
+        "ambient_dim": 2, "structure": "subgraded", "group": {"moduli": [3]},
+        "components": {"1": [[["0", "1"], ["0", "0"]]], "2": [[["0", "0"], ["1", "0"]]]},
+    },
+    # [h, e] = 2e has degree 1 + 1 = 2 but lies in component 1
+    "grading": {
+        "ambient_dim": 2, "structure": "subgraded", "group": {"moduli": [3]},
+        "components": {"1": [[["1", "0"], ["0", "-1"]], [["0", "1"], ["0", "0"]]]},
+    },
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_DOCS))
+@pytest.mark.parametrize("command", ["analyze", "grade-check", "triangularize", "irreducible"])
+def test_invalid_algebras_are_reported_not_raised(capsys, tmp_path, fault, command):
+    path = tmp_path / f"{fault}.json"
+    path.write_text(json.dumps(FAULT_DOCS[fault]))
+    assert main([command, "--input", str(path), "--report", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["grading_valid"] is False and report["violation"]
+    assert ("witness_bracket" in report) == (fault == "grading")
+
+
+def _input_error(capsys, tmp_path, text) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["grade-check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_duplicate_keys_are_rejected(capsys, tmp_path):
+    e12, e21 = '[[["0", "1"], ["0", "0"]]]', '[[["0", "0"], ["1", "0"]]]'
+    text = (
+        '{"ambient_dim": 2, "structure": "subgraded", "group": {"moduli": [3]},'
+        f' "components": {{"1": {e12}, "1": {e21}}}}}'
+    )
+    assert "$.components: duplicate key '1'" in _input_error(capsys, tmp_path, text)
+    text = '{"ambient_dim": 2, "structure": "lie", "structure": "lie", "generators": []}'
+    assert "$: duplicate key 'structure'" in _input_error(capsys, tmp_path, text)
+
+
+def test_integer_literal_beyond_the_digit_limit(capsys, tmp_path):
+    big = "1" + "0" * 4400
+    text = '{"ambient_dim": 1, "structure": "lie", "generators": [[["%s"]]]}' % big
+    err = _input_error(capsys, tmp_path, text)
+    assert "$.generators[0][0][0]: real part: integer of 4401 digits" in err
+
+
+def test_bare_json_integer_beyond_the_digit_limit(capsys, tmp_path):
+    big = "1" + "0" * 4400
+    text = '{"ambient_dim": 1, "structure": "lie", "generators": [[[%s]]]}' % big
+    err = _input_error(capsys, tmp_path, text)
+    assert "$.generators[0][0][0]: real part: integer of 4401 digits" in err
+    text = '{"ambient_dim": %s, "structure": "lie", "generators": []}' % big
+    assert "$.ambient_dim" in _input_error(capsys, tmp_path, text)
+
+
+def test_non_finite_float_literal(capsys, tmp_path):
+    text = '{"ambient_dim": 1, "structure": "lie", "mode": "float", "generators": [[[1e999]]]}'
+    assert "$.generators[0][0][0]: non-finite literal" in _input_error(capsys, tmp_path, text)
+
+
+def test_unread_options_are_gone(tmp_path):
+    for argv in (
+        ["analyze", "--input", "x.json", "--seed", "1"],
+        ["irreducible", "--input", "x.json", "--tol", "0.1"],
+        ["fuzz", "--lemma", "prime", "--tol", "0.1"],
+        ["example", "pauli", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)

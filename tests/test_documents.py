@@ -161,3 +161,19 @@ def test_materialize_bad_grading_raises():
     )
     with pytest.raises(GradingError):
         materialize(doc)
+
+
+def test_components_keyed_by_the_given_degrees_only():
+    doc = loads_document(
+        json.dumps(
+            {
+                "ambient_dim": 2,
+                "structure": "subgraded",
+                "group": {"moduli": [200000]},
+                "components": {"1": [[["0", "1"], ["0", "0"]]]},
+            }
+        )
+    )
+    s = materialize(doc)
+    assert list(s.components) == [(1,)]
+    assert s.component((2,)).dim == 0 and s.support == [(1,)]

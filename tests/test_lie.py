@@ -22,7 +22,6 @@ from gradelie.lie import (
     is_nilpotent_lie,
     is_scalar_set,
     is_solvable,
-    jacobi_defect,
     killing_form,
     lie_closure,
     lower_central_series,
@@ -77,7 +76,7 @@ def test_closure_cap_guard():
 
 def test_from_matrices_verifies_closure():
     with pytest.raises(NotClosedError):
-        LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)])
+        LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)], verify=True)
 
 
 def test_ad_matrix_examples():
@@ -243,7 +242,9 @@ def test_jacobi_identity():
             Mat.from_int_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             for _ in range(3)
         ]
-        assert jacobi_defect(*mats).is_zero()
+        a, b, c = mats
+        jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
+        assert jacobi.is_zero()
 
 
 def test_engel_sum_check():

@@ -1,19 +1,25 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gradelie
+import gradelie.subspaces as subspaces_module
 from gradelie.scalars import Q
 from gradelie.matrices import Mat, ShapeError, flatten
 from gradelie.subspaces import (
+    MatSubspace,
     Subspace,
+    _Echelon,
     canonicalize,
     column_kernel,
+    linear_relations,
     mat_inverse,
     mat_span,
     span_basis_mats,
     stack_vertical,
-    subspace_contains,
     subspace_intersect,
     subspace_sum,
 )
@@ -73,9 +79,9 @@ def test_dimension_identity():
 
 
 def test_contains():
-    assert subspace_contains(canonicalize([[1, 1, 1]]), [3, 3, 3])
-    assert not subspace_contains(canonicalize([[1, 0]]), [1, 1])
-    assert subspace_contains(Subspace.zero(3), [0, 0, 0])
+    assert canonicalize([[1, 1, 1]]).contains([3, 3, 3])
+    assert not canonicalize([[1, 0]]).contains([1, 1])
+    assert Subspace.zero(3).contains([0, 0, 0])
     with pytest.raises(ShapeError):
         canonicalize([[1, 0]]).contains([1, 0, 0])
 
@@ -138,3 +144,88 @@ def test_stack_vertical():
     a = Mat.from_int_rows([[1, 2]])
     b = Mat.from_int_rows([[3, 4], [5, 6]])
     assert stack_vertical([a, b]) == Mat.from_int_rows([[1, 2], [3, 4], [5, 6]])
+
+
+def test_matrices_and_vectors_share_one_row_format():
+    mats = [Mat.unit(2, 0, 1), Mat.identity(2)]
+    s = mat_span(mats)
+    assert s.contains(Mat.from_rows([[3, 5], [0, 3]]))
+    assert s.contains(flatten(Mat.from_rows([[3, 5], [0, 3]])))
+    assert s.coordinates(Mat.from_rows([[2, 7], [0, 2]])) == [Q(2), Q(7)]
+    assert s.coordinates(Mat.unit(2, 1, 0)) is None
+    outsider = Mat.unit(2, 1, 0)
+    assert s.outside([mats[0], outsider, Mat.identity(2)]) is outsider
+    assert s.contains_all(mats) and not s.contains_all([outsider])
+    with pytest.raises(ShapeError):
+        s.contains(Mat.identity(3))
+
+
+def test_linear_relations():
+    a, b = Mat.unit(2, 0, 1), Mat.unit(2, 1, 0)
+    (rel,) = linear_relations([a, b, a.scale(Q(2)) - b.scale(Q(0, 1))])
+    assert a.scale(rel[0]) + b.scale(rel[1]) + (a.scale(Q(2)) - b.scale(Q(0, 1))).scale(rel[2]) == Mat.zeros(2)
+    assert linear_relations([[1, 0], [0, 1]]) == []
+    assert linear_relations([]) == []
+    with pytest.raises(ShapeError):
+        linear_relations([[1, 0], [1, 0, 0]])
+
+
+def test_combination_of_the_canonical_basis():
+    m = MatSubspace.from_matrices([Mat.unit(2, 0, 1), Mat.identity(2)])
+    target = Mat.from_rows([[Fraction(1, 2), Q(0, 3)], [0, Fraction(1, 2)]])
+    assert m.combination(m.span.coordinates(target)) == target
+    assert m.combination([]) == Mat.zeros(2)
+
+
+def test_echelon_rebuild_does_not_eliminate(monkeypatch):
+    rng = random.Random(12)
+    cases = [Subspace.zero(3), Subspace.full(3)]
+    for _ in range(20):
+        k = rng.randint(1, 5)
+        vecs = [
+            [Q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)) for _ in range(k)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append(canonicalize(vecs, ambient_dim=k))
+    expected = []
+    for s in cases:
+        ref = _Echelon(s.ambient_dim)
+        for v in s.basis_vectors():
+            ref.add(v)
+        expected.append((ref.rows, ref.pivots))
+
+    def no_insert(self, row):
+        raise AssertionError("_echelon() eliminated again")
+
+    monkeypatch.setattr(_Echelon, "insert", no_insert)
+    for s, (rows, pivots) in zip(cases, expected):
+        ech = s._echelon()
+        assert (ech.rows, ech.pivots) == (rows, pivots)
+        assert ech.subspace() == s
+
+
+def test_row_format_stays_in_subspaces():
+    package = Path(subspaces_module.__file__).parent
+    row_internals = re.compile(
+        r"\b(_row_\w*|_rows_of|_left_kernel|_mat_row|_values_row)\b"
+        r"|\[\s*list\(\s*\w+\.re\s*\)\s*,\s*list\(\s*\w+\.im\s*\)\s*,\s*\w+\.den\s*\]"
+    )
+    offenders = [
+        f"{path.name}: {match.group(0)}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "subspaces.py"
+        for match in row_internals.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_one_class_for_subspaces_of_gl_n():
+    assert gradelie.LieAlgebra is gradelie.MatSubspace
+    package = Path(subspaces_module.__file__).parent
+    type_tests = re.compile(r"isinstance\([^)]*\b(LieAlgebra|MatSubspace)\b")
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if type_tests.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
