@@ -40,6 +40,7 @@ from .structures import (
 from .spectral import (
     TriangularizationError,
     WitnessSearchError,
+    assoc_closure_dim,
     decide_irreducible,
     triangularize_solvable,
     verify_flag,
@@ -116,10 +117,8 @@ def _analyze_subgraded(s: SubgradedAlgebra) -> tuple[dict, int]:
         },
         "solvable": is_solvable(s.algebra),
     }
-    verdict = decide_irreducible(list(s.algebra.basis_mats)) if s.algebra.dim else None
-    if verdict is not None:
-        report["irreducible"] = verdict.irreducible
-        report["assoc_closure_dim"] = verdict.assoc_dim
+    if s.algebra.dim:
+        report.update(_burnside_verdict(list(s.algebra.basis_mats)))
     return report, 0
 
 
@@ -139,11 +138,30 @@ def _analyze_subspace(m: MatSubspace, tag: str) -> tuple[dict, int]:
     envelope = lie_closure(list(m.basis_mats), ambient_dim=m.ambient_dim)
     report["envelope_dim"] = envelope.dim
     report["envelope_solvable"] = is_solvable(envelope)
-    verdict = decide_irreducible(list(envelope.basis_mats)) if envelope.dim else None
-    if verdict is not None:
-        report["irreducible"] = verdict.irreducible
-        report["assoc_closure_dim"] = verdict.assoc_dim
+    if envelope.dim:
+        report.update(_burnside_verdict(list(envelope.basis_mats)))
     return report, 0
+
+
+def _burnside_verdict(mats: list) -> dict:
+    """Burnside: the set is irreducible iff its associative closure is all of gl(n).
+
+    For reports that print no invariant subspace, so no witness is searched for.
+    """
+    dim = assoc_closure_dim(mats)
+    return {"irreducible": dim == mats[0].n_rows ** 2, "assoc_closure_dim": dim}
+
+
+def _witness_search_failed(exc: WitnessSearchError, args) -> int:
+    _emit(
+        {
+            "error": f"witness search exhausted: {exc}",
+            "irreducible": False,
+            "assoc_closure_dim": exc.assoc_dim,
+        },
+        args.report,
+    )
+    return 1
 
 
 def _materialize(doc: AlgebraDocument, args):
@@ -171,8 +189,7 @@ def _cmd_analyze(doc: AlgebraDocument, args) -> int:
         else:
             report, code = _analyze_subspace(obj, doc.structure)
     except WitnessSearchError as exc:
-        _emit({"error": f"witness search exhausted: {exc}"}, args.report)
-        return 1
+        return _witness_search_failed(exc, args)
     report["instance"] = instance_digest(doc)
     _emit(report, args.report)
     return code
@@ -244,8 +261,7 @@ def _cmd_irreducible(doc: AlgebraDocument, args) -> int:
     try:
         verdict = decide_irreducible(mats)
     except WitnessSearchError as exc:
-        _emit({"error": f"witness search exhausted: {exc}"}, args.report)
-        return 1
+        return _witness_search_failed(exc, args)
     report = {
         "irreducible": verdict.irreducible,
         "assoc_closure_dim": verdict.assoc_dim,

@@ -10,6 +10,8 @@ turns a subgraded algebra into a genuinely graded one on a larger space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,7 +64,8 @@ class GradingError(ValueError):
 class SubgradedAlgebra:
     """A Lie algebra with a verified degree decomposition."""
 
-    __slots__ = ("algebra", "group", "components", "is_direct")
+    # _ampliation: the result of ampliate(self), set once by ampliate
+    __slots__ = ("algebra", "group", "components", "is_direct", "_ampliation")
 
     def __init__(
         self,
@@ -75,6 +78,7 @@ class SubgradedAlgebra:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "components", dict(components))
         object.__setattr__(self, "is_direct", is_direct)
+        object.__setattr__(self, "_ampliation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgradedAlgebra is immutable")
@@ -163,32 +167,68 @@ class AmpliationResult:
     source: SubgradedAlgebra
     rep_positions: dict
 
+    @cached_property
+    def _collapse_plan(self) -> tuple:
+        """Getters for the flat entries f_pi reads; they depend on n and the group only.
+
+        Entry ((i, p), (j, q)) of sum a_g (x) pi(g) is a_g[i, j] for the one g
+        with elems[p] = g + elems[q], and a_g is read at g's representative
+        position.  The first getter returns, for every entry in row-major
+        order, the entry it must equal; the second returns, for each entry of
+        sum a_g in row-major order, the |G| representative entries it sums.
+        """
+        n = self.source.algebra.ambient_dim
+        group = self.source.group
+        elems = sorted(group.elements())
+        g_ord = len(elems)
+        big_n = n * g_ord
+        rep = [[self.rep_positions[group.add(ep, group.neg(eq))] for eq in elems] for ep in elems]
+        source = [
+            (i * g_ord + rep[p][q][0]) * big_n + j * g_ord + rep[p][q][1]
+            for i in range(n) for p in range(g_ord)
+            for j in range(n) for q in range(g_ord)
+        ]
+        summed = [
+            (i * g_ord + r) * big_n + j * g_ord + c
+            for i in range(n) for j in range(n)
+            for r, c in self.rep_positions.values()
+        ]
+        return _gather(source), _gather(summed)
+
     def f_pi(self, m: Mat) -> Mat:
-        """Collapse an ampliated element back to the original algebra."""
-        src_n = self.source.algebra.ambient_dim
-        g_ord = max(1, self.source.group.order)
-        parts = {}
-        for deg, (r, c) in self.rep_positions.items():
-            grid = [
-                [m.entry(i * g_ord + r, j * g_ord + c) for j in range(src_n)]
-                for i in range(src_n)
-            ]
-            parts[deg] = Mat.from_rows(grid)
-        recon = Mat.zeros(src_n * g_ord)
-        pis = regular_rep(self.source.group)
-        for deg, a in parts.items():
-            if not a.is_zero():
-                recon = recon + a.kron(pis[deg])
-        if recon != m:
+        """Collapse an ampliated element back to the original algebra.
+
+        m lies in the image of a -> sum a_g (x) pi(g) exactly when every
+        entry equals the entry of its degree's representative block.
+        """
+        n = self.source.algebra.ambient_dim
+        g_ord = len(self.rep_positions)
+        if m.shape != (n * g_ord, n * g_ord):
             raise ValueError("element is not in the ampliated algebra")
-        total = Mat.zeros(src_n)
-        for a in parts.values():
-            total = total + a
-        return total
+        source, summed = self._collapse_plan
+        if source(m.re) != m.re or source(m.im) != m.im:
+            raise ValueError("element is not in the ampliated algebra")
+        parts_re, parts_im = summed(m.re), summed(m.im)
+        re = [sum(parts_re[k : k + g_ord]) for k in range(0, len(parts_re), g_ord)]
+        im = [sum(parts_im[k : k + g_ord]) for k in range(0, len(parts_im), g_ord)]
+        return Mat._normalized(n, n, re, im, m.den)
+
+
+def _gather(indices: list[int]):
+    """The entries of a flat tuple at the given indices, always as a tuple."""
+    if len(indices) == 1:
+        (k,) = indices
+        return lambda values: (values[k],)
+    return itemgetter(*indices)
 
 
 def ampliate(subgraded: SubgradedAlgebra) -> AmpliationResult:
-    """Tensor each component with its degree's regular-representation matrix."""
+    """Tensor each component with its degree's regular-representation matrix.
+
+    The result is kept on the algebra, so each algebra is ampliated once.
+    """
+    if subgraded._ampliation is not None:
+        return subgraded._ampliation
     src = subgraded
     n = src.algebra.ambient_dim
     group = src.group
@@ -219,6 +259,7 @@ def ampliate(subgraded: SubgradedAlgebra) -> AmpliationResult:
         for big, original in pairs:
             if result.f_pi(big) != original:
                 raise GradingError("back map does not invert the ampliation")
+    object.__setattr__(subgraded, "_ampliation", result)
     return result
 
 

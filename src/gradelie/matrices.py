@@ -195,22 +195,26 @@ class Mat:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if not isinstance(other, Mat):
-            return NotImplemented
+    def _combine(self, other: "Mat", sign: int, verb: str) -> "Mat":
+        """self + sign*other over the common denominator, normalized once."""
         if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
+            raise ShapeError(f"cannot {verb} {self.shape} and {other.shape}")
         da, db = self.den, other.den
         g = math.gcd(da, db)
-        ma, mb = db // g, da // g
+        ma, mb = db // g, sign * (da // g)
         re = [x * ma + y * mb for x, y in zip(self.re, other.re)]
         im = [x * ma + y * mb for x, y in zip(self.im, other.im)]
         return Mat._normalized(self.n_rows, self.n_cols, re, im, da * ma)
 
+    def __add__(self, other: "Mat") -> "Mat":
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self._combine(other, 1, "add")
+
     def __sub__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1, "subtract")
 
     def __neg__(self) -> "Mat":
         return Mat(
@@ -234,7 +238,8 @@ class Mat:
         if self.n_cols != other.n_rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         inner = self.n_cols
-        bound = 2 * inner * self.max_abs_num() * other.max_abs_num()
+        # max(., 1): a zero operand does not make the other one fit in int64
+        bound = 2 * inner * max(self.max_abs_num(), 1) * max(other.max_abs_num(), 1)
         if bound < _INT64_SAFE:
             ar, ai = self._arrays()
             br, bi = other._arrays()
@@ -373,16 +378,28 @@ def _require_square_same(a: Mat, b: Mat) -> None:
         raise ShapeError(f"need equal square shapes, got {a.shape} and {b.shape}")
 
 
+def _ab_plus_sign_ba(a: Mat, b: Mat, sign: int) -> Mat:
+    """ab + sign*ba, fused into one int64 expression when that is exact."""
+    _require_square_same(a, b)
+    n = a.n_rows
+    # every partial sum of both products together is bounded by this
+    if 4 * n * max(a.max_abs_num(), 1) * max(b.max_abs_num(), 1) < 2**63:
+        ar, ai = a._arrays()
+        br, bi = b._arrays()
+        cr = (ar @ br - ai @ bi) + sign * (br @ ar - bi @ ai)
+        ci = (ar @ bi + ai @ br) + sign * (br @ ai + bi @ ar)
+        return Mat._normalized(n, n, cr.ravel().tolist(), ci.ravel().tolist(), a.den * b.den)
+    return a @ b - b @ a if sign < 0 else a @ b + b @ a
+
+
 def bracket(a: Mat, b: Mat) -> Mat:
     """Commutator ab - ba."""
-    _require_square_same(a, b)
-    return a @ b - b @ a
+    return _ab_plus_sign_ba(a, b, -1)
 
 
 def jordan_product(a: Mat, b: Mat) -> Mat:
     """Anticommutator ab + ba."""
-    _require_square_same(a, b)
-    return a @ b + b @ a
+    return _ab_plus_sign_ba(a, b, 1)
 
 
 def triple_product(a: Mat, b: Mat, c: Mat) -> Mat:

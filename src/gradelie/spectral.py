@@ -64,6 +64,10 @@ class SpectralConvergenceError(RuntimeError):
 class WitnessSearchError(RuntimeError):
     """A reducible set defeated the invariant-subspace witness search."""
 
+    def __init__(self, message, assoc_dim: int):
+        super().__init__(message)
+        self.assoc_dim = assoc_dim
+
 
 class TriangularizationError(ValueError):
     """A flag could not be constructed or verified."""
@@ -257,10 +261,10 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
         orbit = _orbit_span(mats, cand, n)
         if 0 < orbit.dim < n:
             if not _verify_invariant(mats, orbit):
-                raise WitnessSearchError("orbit span failed exact invariance")
+                raise WitnessSearchError("orbit span failed exact invariance", assoc_dim)
             return IrreducibilityVerdict(False, assoc_dim, orbit)
     raise WitnessSearchError(
-        f"closure dimension {assoc_dim} < {n * n} but no witness was found"
+        f"closure dimension {assoc_dim} < {n * n} but no witness was found", assoc_dim
     )
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gradelie
 from gradelie.cli import main
 
 
@@ -136,10 +139,14 @@ def test_input_errors(capsys, tmp_path):
 
 
 def test_console_script_runs():
+    # the child process imports gradelie from where this process found it
+    src = str(Path(gradelie.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "gradelie.cli", "example", "pauli", "--emit"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["structure"] == "subgraded"
@@ -222,3 +229,38 @@ def test_unread_options_are_gone(tmp_path):
     ):
         with pytest.raises(SystemExit):
             main(argv)
+
+
+# reducible, but its invariant lines need sqrt(-2), which is not in Q(i)
+OUTSIDE_QI = [[["0", "1"], ["-2", "0"]]]
+
+
+def test_analyze_decides_reducibility_without_a_witness(capsys, tmp_path):
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2, "structure": "subgraded", "group": {"moduli": [2]},
+        "components": {"1": OUTSIDE_QI},
+    }))
+    assert main(["analyze", "--input", str(path), "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["irreducible"] is False and report["assoc_closure_dim"] == 2
+    assert "error" not in report
+    # irreducible prints a witness, so a failed search stays an error, with the verdict
+    assert main(["irreducible", "--input", str(path), "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith("witness search exhausted")
+    assert report["irreducible"] is False and report["assoc_closure_dim"] == 2
+
+
+def test_lie_analyze_keeps_the_witness_search(capsys, tmp_path):
+    path = tmp_path / "outside-lie.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "structure": "lie", "generators": OUTSIDE_QI}))
+    assert main(["analyze", "--input", str(path), "--report", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report == {
+        "error": "witness search exhausted: closure dimension 2 < 4 but no witness was found",
+        "irreducible": False,
+        "assoc_closure_dim": 2,
+    }

@@ -6,7 +6,9 @@ import pytest
 from gradelie.scalars import Q, GaussianRational
 from gradelie.matrices import Mat, bracket, flatten
 from gradelie.subspaces import linear_relations, mat_span
-from gradelie.groups import FinAbGroup
+from gradelie import grading
+from gradelie.generators import gen_weight_graded
+from gradelie.groups import FinAbGroup, regular_rep
 from gradelie.lie import lie_closure
 from gradelie.grading import (
     GradingError,
@@ -157,6 +159,72 @@ def test_f_pi_rejects_outside():
     # a lone unit matrix breaks the tensor consistency pattern
     with pytest.raises(ValueError):
         result.f_pi(E(8, 0, 1))
+
+
+def _f_pi_by_kron(result, m: Mat) -> Mat:
+    """f_pi as the sum of the representative blocks, checked by a kron rebuild."""
+    n = result.source.algebra.ambient_dim
+    g_ord = result.source.group.order
+    parts = {
+        deg: Mat.from_rows(
+            [[m.entry(i * g_ord + r, j * g_ord + c) for j in range(n)] for i in range(n)]
+        )
+        for deg, (r, c) in result.rep_positions.items()
+    }
+    pis = regular_rep(result.source.group)
+    recon = Mat.zeros(n * g_ord)
+    for deg, a in parts.items():
+        recon = recon + a.kron(pis[deg])
+    if recon != m:
+        raise ValueError("element is not in the ampliated algebra")
+    total = Mat.zeros(n)
+    for a in parts.values():
+        total = total + a
+    return total
+
+
+@pytest.mark.parametrize("moduli", [[2], [3], [2, 2], [2, 4], [3, 3]])
+def test_f_pi_matches_the_kron_rebuild(moduli):
+    rng = random.Random(str(moduli))
+    for seed in range(3):
+        s = gen_weight_graded(2 + seed % 2, moduli, seed)
+        result = ampliate(s)
+        bigs = [big for pairs in result.back_map_table.values() for big, _ in pairs]
+        combo = Mat.zeros(bigs[0].n_rows)
+        for big in bigs:
+            combo = combo + big.scale(Q(Fraction(rng.randint(-4, 4), rng.randint(1, 6)), 1))
+        members = bigs[:4] + [bracket(x, y) for x in bigs[:4] for y in bigs[:4]] + [combo]
+        for m in members:
+            assert result.f_pi(m) == _f_pi_by_kron(result, m)
+        g_ord = s.group.order
+        n = s.algebra.ambient_dim
+        for _ in range(6):
+            # one entry in a block off the representative column of blocks
+            i, j = rng.randrange(n), rng.randrange(n)
+            p, q = rng.randrange(g_ord), rng.randrange(1, g_ord)
+            bump = E(n * g_ord, i * g_ord + p, j * g_ord + q).scale(Fraction(1, 7))
+            for bad in (combo + bump, bump):
+                with pytest.raises(ValueError):
+                    _f_pi_by_kron(result, bad)
+                with pytest.raises(ValueError):
+                    result.f_pi(bad)
+        for wrong in (Mat.identity(n), Mat.identity(n * g_ord + 1), Mat.zeros(n * g_ord, n)):
+            with pytest.raises(ValueError):
+                result.f_pi(wrong)
+
+
+def test_ampliation_is_kept_on_the_algebra(monkeypatch):
+    e, f, g, s = weight_graded_sl2()
+    calls = []
+    monkeypatch.setattr(grading, "regular_rep", lambda group: calls.append(1) or regular_rep(group))
+    result = ampliate(s)
+    assert len(calls) == 1
+    assert check_maptri(s).ok
+    assert ampliate(s) is result
+    assert len(calls) == 1
+    twin = verify_subgrading(s.algebra, s.group, s.components)
+    assert ampliate(twin) is not result
+    assert len(calls) == 2
 
 
 def test_check_maptri():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -198,3 +199,89 @@ def test_scalar_detection():
     assert Mat.identity(3).scale(Q(0, 2)).is_scalar()
     assert not Mat.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 1]]).is_scalar()
     assert Mat.zeros(2).is_scalar()
+
+
+def _gaussian_rational_mat(rng, n, num, dens):
+    return Mat.from_rows(
+        [
+            [
+                GaussianRational(
+                    Fraction(rng.randint(-num, num), rng.choice(dens)),
+                    Fraction(rng.randint(-num, num), rng.choice(dens)),
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def test_subtraction_is_addition_of_the_negative():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(20):
+            x = _gaussian_rational_mat(rng, n, 6, (1, 2, 3, 4, 9))
+            y = _gaussian_rational_mat(rng, n, 6, (1, 2, 5, 6))
+            assert x - y == x + (-y)
+            assert (x - x).is_zero() and (x - x).den == 1
+    with pytest.raises(ShapeError):
+        Mat.zeros(2) - Mat.zeros(3)
+
+
+def test_fused_products_match_matmul():
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for _ in range(12):
+            a = _gaussian_rational_mat(rng, n, 9, (1, 2, 3, 4, 6, 10))
+            b = _gaussian_rational_mat(rng, n, 9, (1, 3, 5, 7))
+            assert bracket(a, b) == a @ b - b @ a
+            assert jordan_product(a, b) == a @ b + b @ a
+
+
+def _entrywise_product(a: Mat, b: Mat) -> list:
+    n = a.n_rows
+    zero = GaussianRational(0)
+    return [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), zero) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _edge_mat(rng, n, top, den):
+    # numerators in [-top, top] with top itself present and a 1 keeping the gcd at 1
+    re = [rng.randint(-top, top) for _ in range(n * n)]
+    im = [rng.randint(-top, top) for _ in range(n * n)]
+    re[0], im[-1] = top, 1
+    m = Mat._normalized(n, n, re, im, den)
+    assert m.max_abs_num() == top
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_fused_products_at_the_int64_guard(n, monkeypatch):
+    rng = random.Random(n)
+    below = math.isqrt((2**63 - 1) // (4 * n))
+    matmuls = []
+    real_matmul = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda x, y: matmuls.append(1) or real_matmul(x, y))
+    for top, fused in ((below, True), (below + 1, False)):
+        a = _edge_mat(rng, n, top, 2)
+        b = _edge_mat(rng, n, top, 3)
+        assert (4 * n * top * top < 2**63) == fused
+        ab, ba = _entrywise_product(a, b), _entrywise_product(b, a)
+        want_bracket = Mat.from_rows([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        want_jordan = Mat.from_rows([[x + y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        matmuls.clear()
+        got_bracket, got_jordan = bracket(a, b), jordan_product(a, b)
+        # the int64 kernel never goes through __matmul__; the fallback makes both products
+        assert len(matmuls) == (0 if fused else 4)
+        assert got_bracket == want_bracket
+        assert got_jordan == want_jordan
+        assert got_bracket == real_matmul(a, b) - real_matmul(b, a)
+
+
+def test_zero_operand_with_entries_beyond_int64():
+    huge = Mat.from_int_rows([[2**70, 1], [0, -(2**65)]])
+    zero = Mat.zeros(2)
+    assert (huge @ zero).is_zero() and (zero @ huge).is_zero()
+    assert bracket(huge, zero).is_zero() and jordan_product(zero, huge).is_zero()
