@@ -8,15 +8,11 @@ is re-verified exactly before it affects a verdict.
 from .scalars import GaussianRational, Q, format_scalar, parse_scalar
 from .matrices import (
     Mat,
-    NumMat,
     bracket,
-    flatten,
     is_nilpotent_exact,
     jordan_product,
     to_numeric,
     trace_product,
-    triple_product,
-    unflatten,
 )
 from .subspaces import (
     Subspace,
@@ -28,26 +24,21 @@ from .subspaces import (
     subspace_intersect,
     subspace_sum,
 )
-from .groups import FinAbGroup, noncyclic_pairs, quotient_group, regular_rep
+from .groups import FinAbGroup, noncyclic_pairs, regular_rep
 from .lie import (
-    KillingGram,
     LieAlgebra,
     SeriesReport,
     ad_matrix,
     cartan_test,
-    center,
     derived_series,
-    engel_sum_check,
     is_engel_element,
     is_ideal,
     is_nil_subspace,
     is_nilpotent_lie,
     is_scalar_set,
     is_solvable,
-    killing_form,
     lie_closure,
     lower_central_series,
-    trace_orthogonal_ideal,
 )
 from .grading import (
     AmpliationResult,
@@ -55,12 +46,8 @@ from .grading import (
     SubgradedAlgebra,
     ampliate,
     check_maptri,
-    coarsen_by_subgroup,
-    endo_eigenspace_product_check,
-    grading_from_automorphism,
     homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
-    opposite_bracket_ideal,
     verify_subgrading,
 )
 from .spectral import (
@@ -69,7 +56,6 @@ from .spectral import (
     assoc_closure_dim,
     decide_irreducible,
     eig_numeric,
-    generalized_eigenspace_numeric,
     spectral_radius,
     triangularize_solvable,
     verify_flag,

@@ -1,25 +1,23 @@
 """Seeded fuzz campaigns over the theorem checks.
 
-A campaign is a pure function of (seed, trials, dim_max): per-trial instances
-come from the deterministic generators, every hypothesis is decided exactly,
-and any failing check ships a replayable counterexample document.  Campaign
-names have short aliases for the command line.
+A campaign is a pure function of (seed, trials, dim_max).  Each campaign is
+one row of a table: an instance generator, the check every instance goes
+through, and named examples that must come out as negative controls.  One
+trial loop runs every row: instances come from the deterministic generators,
+every hypothesis is decided exactly, and any failing check ships a
+replayable counterexample document.  Campaign names have short aliases for
+the command line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .subspaces import span_basis_mats
-from .lie import cartan_test, is_solvable, is_nil_subspace, lie_closure
-from .grading import ampliate, check_maptri
+from .lie import is_nil_subspace, lie_closure
 from .spectral import assoc_closure_dim
-from .structures import (
-    jordan_ideal_chain,
-    jordan_to_z2,
-    triple_to_z2,
-    IdealChainError,
-)
+from .structures import triple_to_z2
 from .generators import (
     gen_jordan_pair,
     gen_lie_algebra,
@@ -29,20 +27,45 @@ from .generators import (
     gen_weight_graded,
 )
 from .examples import build_example
-from .documents import document_from, document_to_dict, instance_digest, materialize
+from .documents import materialize
 from .checks import (
     CheckReport,
+    check_ampliation,
+    check_cartan_equivalence,
     check_engel_commutators_solvable,
     check_engel_components_solvable,
     check_engel_pairings_solvable,
     check_engel_sum_closed,
     check_graded_cartan,
+    check_jordan_chain,
+    check_jordan_volterra,
     check_nilpotent_sum_closed,
     check_odd_engel_solvable,
+    check_report,
     check_scalar_zero_solvable,
+    check_triple_volterra,
 )
 
-__all__ = ["CampaignResult", "run_campaign", "CAMPAIGNS", "resolve_campaign"]
+__all__ = [
+    "CampaignError",
+    "CampaignResult",
+    "Campaign",
+    "Control",
+    "run_campaign",
+    "CAMPAIGNS",
+    "resolve_campaign",
+]
+
+# every campaign starts its dimension cycle here
+_LOWEST_DIM = 2
+
+
+class CampaignError(ValueError):
+    """A campaign parameter is out of range; ``option`` names the parameter."""
+
+    def __init__(self, option: str, message: str):
+        super().__init__(message)
+        self.option = option
 
 
 @dataclass
@@ -70,274 +93,93 @@ def _subseed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _dims(dim_max: int, lo: int = 2) -> list[int]:
-    if dim_max < lo:
-        raise ValueError(f"dim-max must be at least {lo}")
-    return list(range(lo, dim_max + 1))
+def _dims(trials: int, dim_max: int) -> list[int]:
+    if trials < 0:
+        raise CampaignError("trials", f"must be at least 0, got {trials}")
+    if dim_max < _LOWEST_DIM:
+        raise CampaignError("dim-max", f"must be at least {_LOWEST_DIM}, got {dim_max}")
+    return list(range(_LOWEST_DIM, dim_max + 1))
 
 
-def _collect(result: CampaignResult, report: CheckReport) -> None:
-    if report.hypothesis_met:
-        result.hypothesis_met += 1
-    if not report.passed:
-        result.failures.append(report)
+@dataclass(frozen=True)
+class Control:
+    """A named example the campaign's check must report as ``expect``.
+
+    ``observe`` reads the value from the example's report; it is recorded in
+    the campaign notes under ``note``.
+    """
+
+    example: str
+    note: str
+    observe: Callable[[CheckReport], object]
+    expect: object
+
+
+def _unmet(example: str) -> Control:
+    """A negative control that must leave the hypothesis unmet."""
+    return Control(
+        example, f"control_{example}", lambda r: "MET" if r.hypothesis_met else "unmet", "unmet"
+    )
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One row of the campaign table: ``make(n, trial, subseed)`` builds the
+    instance of a trial and ``check`` decides it."""
+
+    name: str
+    make: Callable[[int, int, int], object]
+    check: Callable[[object], CheckReport]
+    controls: tuple[Control, ...] = ()
+
+    def __call__(self, trials: int, seed: int, dim_max: int) -> CampaignResult:
+        dims = _dims(trials, dim_max)
+        result = CampaignResult(self.name, trials)
+        for control in self.controls:
+            instance = materialize(build_example(control.example))
+            report = self.check(instance)
+            seen = control.observe(report)
+            result.notes[control.note] = seen
+            if seen != control.expect:
+                result.failures.append(
+                    check_report(
+                        report.check, instance, report.hypothesis, True,
+                        {"negative_control_holds": False}, {"control": control.example},
+                    )
+                )
+        for t in range(trials):
+            report = self.check(self.make(dims[t % len(dims)], t, _subseed(seed, t)))
+            result.hypothesis_met += report.hypothesis_met
+            if not report.passed:
+                result.failures.append(replace(report, detail={"trial": t, **(report.detail or {})}))
+        return result
 
 
 _CYCLIC_MODULI = ([2], [3], [4], [5])
 _MIXED_MODULI = ([2], [3], [4], [5], [2, 2], [2, 4], [3, 3])
 
 
-def _control_unmet(result: CampaignResult, name: str, check) -> None:
-    """Run a named example as a mandatory hypothesis-unmet negative control."""
-    s = materialize(build_example(name))
-    report = check(s)
-    result.notes[f"control_{name}"] = "unmet" if not report.hypothesis_met else "MET"
-    if report.hypothesis_met:
-        result.failures.append(
-            CheckReport(
-                report.check,
-                report.digest,
-                report.hypothesis,
-                True,
-                {"negative_control_should_be_unmet": False},
-                False,
-                {"instance": document_to_dict(build_example(name)), "detail": {"control": name}},
-            )
-        )
+def _graded(cycle) -> Callable[[int, int, int], object]:
+    """Weight-graded instances whose group runs through the moduli cycle."""
+    return lambda n, t, subseed: gen_weight_graded(n, cycle[t % len(cycle)], subseed)
 
 
-def _campaign_cartan(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("cartan-equivalence", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        algebra = gen_lie_algebra(n, _subseed(seed, t))
-        agreed = cartan_test(algebra) == is_solvable(algebra)
-        result.hypothesis_met += 1
-        if not agreed:
-            doc = document_from(algebra)
-            result.failures.append(
-                CheckReport(
-                    "cartan-equivalence",
-                    instance_digest(doc),
-                    {"trial": t},
-                    True,
-                    {"trace_test_matches_derived_series": False},
-                    False,
-                    {"instance": document_to_dict(doc), "detail": {"trial": t}},
-                )
-            )
-    return result
+def _plain(gen) -> Callable[[int, int, int], object]:
+    return lambda n, t, subseed: gen(n, subseed)
 
 
-def _campaign_scalar_zero(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("scalar-zero", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _CYCLIC_MODULI[t % len(_CYCLIC_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        _collect(result, check_scalar_zero_solvable(s))
-    return result
+def _odd_engel_instance(n: int, t: int, subseed: int):
+    """Nil triple systems embedded in Z2 gradings, alternating with Z2 weight gradings."""
+    if t % 2 == 0:
+        return triple_to_z2(gen_nilpotent_triple(n, subseed))
+    return gen_weight_graded(n, [2], subseed)
 
 
-def _campaign_scalar_zero_engel(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("scalar-zero-engel", trials)
-    _control_unmet(result, "pauli", check_graded_cartan)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _MIXED_MODULI[t % len(_MIXED_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        _collect(result, check_graded_cartan(s))
-    return result
-
-
-def _campaign_engel_components(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("engel-components", trials)
-    _control_unmet(result, "pauli", check_engel_components_solvable)
-    _control_unmet(result, "e1", check_engel_components_solvable)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _MIXED_MODULI[t % len(_MIXED_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        _collect(result, check_engel_components_solvable(s))
-    return result
-
-
-def _campaign_engel_commutators(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("engel-commutators", trials)
-    _control_unmet(result, "pauli", check_engel_commutators_solvable)
-    _control_unmet(result, "e1", check_engel_commutators_solvable)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _MIXED_MODULI[t % len(_MIXED_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        _collect(result, check_engel_commutators_solvable(s))
-    return result
-
-
-def _campaign_engel_pairings(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("engel-pairings", trials)
-    _control_unmet(result, "pauli", check_engel_pairings_solvable)
-    _control_unmet(result, "e1", check_engel_pairings_solvable)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _MIXED_MODULI[t % len(_MIXED_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        _collect(result, check_engel_pairings_solvable(s))
-    return result
-
-
-def _campaign_odd_engel(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("odd-engel", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        if t % 2 == 0:
-            s = triple_to_z2(gen_nilpotent_triple(n, _subseed(seed, t)))
-        else:
-            s = gen_weight_graded(n, [2], _subseed(seed, t))
-        _collect(result, check_odd_engel_solvable(s))
-    return result
-
-
-def _campaign_nilpotent_sum(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("nilpotent-sum", trials)
-    sl2 = materialize(build_example("sl2"))
-    control = check_nilpotent_sum_closed(sl2)
-    negative_seen = not control.conclusions.get("nilpotent_sums_closed_on_grid", True)
-    result.notes["control_sl2_nonclosed_pair"] = negative_seen
-    if not negative_seen:
-        result.failures.append(control)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        algebra = gen_lie_algebra(n, _subseed(seed, t))
-        _collect(result, check_nilpotent_sum_closed(algebra))
-    return result
-
-
-def _campaign_engel_sum(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("engel-sum", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        algebra = gen_solvable(n, _subseed(seed, t))
-        _collect(result, check_engel_sum_closed(algebra))
-    return result
-
-
-def _campaign_triple(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("triple-volterra", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        m = gen_nilpotent_triple(n, _subseed(seed, t))
-        result.hypothesis_met += 1
-        s = triple_to_z2(m)  # raises GradingError on a grading-law failure
-        if not is_solvable(s.algebra):
-            doc = document_from(m, "triple")
-            result.failures.append(
-                CheckReport(
-                    "triple-volterra",
-                    instance_digest(doc),
-                    {"nil_triple_system": True},
-                    True,
-                    {"envelope_solvable": False},
-                    False,
-                    {"instance": document_to_dict(doc), "detail": {"trial": t}},
-                )
-            )
-    return result
-
-
-def _campaign_jordan(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("jordan-volterra", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        j = gen_nilpotent_jordan(n, _subseed(seed, t))
-        result.hypothesis_met += 1
-        s = jordan_to_z2(j)
-        if not is_solvable(s.algebra):
-            doc = document_from(j, "jordan")
-            result.failures.append(
-                CheckReport(
-                    "jordan-volterra",
-                    instance_digest(doc),
-                    {"nil_jordan_algebra": True},
-                    True,
-                    {"envelope_solvable": False},
-                    False,
-                    {"instance": document_to_dict(doc), "detail": {"trial": t}},
-                )
-            )
-    return result
-
-
-def _campaign_jordan_chain(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("jordan-chain", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        j, i = gen_jordan_pair(n, _subseed(seed, t))
-        result.hypothesis_met += 1
-        try:
-            jordan_ideal_chain(j, i)
-        except IdealChainError as exc:
-            doc = document_from(j, "jordan")
-            result.failures.append(
-                CheckReport(
-                    "jordan-chain",
-                    instance_digest(doc),
-                    {"jordan_ideal_pair": True},
-                    True,
-                    {"chain_verified": False},
-                    False,
-                    {
-                        "instance": document_to_dict(doc),
-                        "detail": {"trial": t, "error": str(exc)},
-                    },
-                )
-            )
-    return result
-
-
-def _campaign_ampliation(trials, seed, dim_max) -> CampaignResult:
-    result = CampaignResult("ampliation", trials)
-    dims = _dims(dim_max)
-    for t in range(trials):
-        n = dims[t % len(dims)]
-        moduli = _MIXED_MODULI[t % len(_MIXED_MODULI)]
-        s = gen_weight_graded(n, moduli, _subseed(seed, t))
-        result.hypothesis_met += 1
-        amp = ampliate(s)  # directness and the back map are verified inside
-        report = check_maptri(s)
-        if not (amp.ampliated.is_direct and report.ok):
-            doc = document_from(s)
-            result.failures.append(
-                CheckReport(
-                    "ampliation",
-                    instance_digest(doc),
-                    {"graded_instance": True},
-                    True,
-                    {"direct": amp.ampliated.is_direct, "transfer_ok": report.ok},
-                    False,
-                    {"instance": document_to_dict(doc), "detail": {"trial": t}},
-                )
-            )
-    return result
-
-
-def _campaign_three_product_search(trials, seed, dim_max) -> CampaignResult:
+def _three_product_search(trials: int, seed: int, dim_max: int) -> CampaignResult:
     """Search mode: three-component cyclic gradings with a nilpotent odd part
     that generates; verdicts are tallied, nothing is asserted."""
     result = CampaignResult("three-product-search", trials)
-    dims = _dims(dim_max, lo=2)
+    dims = _dims(trials, dim_max)
     irreducible_found = 0
     candidates = 0
     for t in range(trials):
@@ -357,22 +199,46 @@ def _campaign_three_product_search(trials, seed, dim_max) -> CampaignResult:
     return result
 
 
-CAMPAIGNS = {
-    "cartan-equivalence": _campaign_cartan,
-    "scalar-zero": _campaign_scalar_zero,
-    "scalar-zero-engel": _campaign_scalar_zero_engel,
-    "engel-components": _campaign_engel_components,
-    "engel-commutators": _campaign_engel_commutators,
-    "engel-pairings": _campaign_engel_pairings,
-    "odd-engel": _campaign_odd_engel,
-    "nilpotent-sum": _campaign_nilpotent_sum,
-    "engel-sum": _campaign_engel_sum,
-    "triple-volterra": _campaign_triple,
-    "jordan-volterra": _campaign_jordan,
-    "jordan-chain": _campaign_jordan_chain,
-    "ampliation": _campaign_ampliation,
-    "three-product-search": _campaign_three_product_search,
+_PAULI_E1 = (_unmet("pauli"), _unmet("e1"))
+_SL2_NONCLOSED = Control(
+    "sl2",
+    "control_sl2_nonclosed_pair",
+    lambda r: not r.conclusions["nilpotent_sums_closed_on_grid"],
+    True,
+)
+
+CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignResult]] = {
+    row.name: row
+    for row in (
+        Campaign("cartan-equivalence", _plain(gen_lie_algebra), check_cartan_equivalence),
+        Campaign("scalar-zero", _graded(_CYCLIC_MODULI), check_scalar_zero_solvable),
+        Campaign(
+            "scalar-zero-engel", _graded(_MIXED_MODULI), check_graded_cartan, (_unmet("pauli"),)
+        ),
+        Campaign(
+            "engel-components", _graded(_MIXED_MODULI), check_engel_components_solvable,
+            _PAULI_E1,
+        ),
+        Campaign(
+            "engel-commutators", _graded(_MIXED_MODULI), check_engel_commutators_solvable,
+            _PAULI_E1,
+        ),
+        Campaign(
+            "engel-pairings", _graded(_MIXED_MODULI), check_engel_pairings_solvable, _PAULI_E1
+        ),
+        Campaign("odd-engel", _odd_engel_instance, check_odd_engel_solvable),
+        Campaign(
+            "nilpotent-sum", _plain(gen_lie_algebra), check_nilpotent_sum_closed,
+            (_SL2_NONCLOSED,),
+        ),
+        Campaign("engel-sum", _plain(gen_solvable), check_engel_sum_closed),
+        Campaign("triple-volterra", _plain(gen_nilpotent_triple), check_triple_volterra),
+        Campaign("jordan-volterra", _plain(gen_nilpotent_jordan), check_jordan_volterra),
+        Campaign("jordan-chain", _plain(gen_jordan_pair), check_jordan_chain),
+        Campaign("ampliation", _graded(_MIXED_MODULI), check_ampliation),
+    )
 }
+CAMPAIGNS["three-product-search"] = _three_product_search
 
 _ALIASES = {
     "cartan": "cartan-equivalence",
@@ -398,5 +264,5 @@ def resolve_campaign(name: str) -> str:
 
 
 def run_campaign(name: str, trials: int = 200, seed: int = 0, dim_max: int = 4) -> CampaignResult:
-    key = resolve_campaign(name)
-    return CAMPAIGNS[key](trials, seed, dim_max)
+    """Run a campaign; CampaignError names a trial count or dimension out of range."""
+    return CAMPAIGNS[resolve_campaign(name)](trials, seed, dim_max)

@@ -2,36 +2,50 @@
 
 Each check decides its hypothesis exactly (nil-subspace polarization, exact
 scalar tests), asserts the conclusion with the package's structural
-machinery, and reports a replayable counterexample payload on failure.  A
-hypothesis-unmet instance passes vacuously but says so.
+machinery, and returns a report from ``check_report``.  A hypothesis-unmet
+instance passes vacuously but says so.  A failing report carries a
+replayable counterexample payload; the instance document and its digest are
+built only when a report is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrices import Mat, bracket, is_nilpotent_exact
-from .subspaces import Subspace, mat_span, span_basis_mats
+from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats
 from .lie import (
     LieAlgebra,
     ad_matrix,
+    cartan_test,
     is_engel_element,
     is_nil_subspace,
     is_scalar_set,
     is_solvable,
 )
 from .grading import (
+    GradingError,
     SubgradedAlgebra,
+    ampliate,
+    check_maptri,
     homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
 )
+from .structures import (
+    IdealChainError,
+    jordan_ideal_chain,
+    jordan_to_z2,
+    triple_to_z2,
+)
 from .spectral import assoc_closure_dim
-from .documents import document_from, document_to_dict, instance_digest
+from .documents import AlgebraDocument, document_from, document_to_dict, instance_digest
 
 __all__ = [
     "CheckReport",
     "CheckUsageError",
+    "check_report",
     "subspace_engel_in",
     "check_scalar_zero_solvable",
     "check_graded_cartan",
@@ -42,6 +56,11 @@ __all__ = [
     "check_odd_engel_solvable",
     "check_nilpotent_sum_closed",
     "check_engel_sum_closed",
+    "check_cartan_equivalence",
+    "check_triple_volterra",
+    "check_jordan_volterra",
+    "check_jordan_chain",
+    "check_ampliation",
 ]
 
 
@@ -52,12 +71,27 @@ class CheckUsageError(ValueError):
 @dataclass(frozen=True)
 class CheckReport:
     check: str
-    digest: str
     hypothesis: dict
     hypothesis_met: bool
     conclusions: dict
     passed: bool
-    counterexample: dict | None = None
+    instance: object  # the checked object; its document is built on demand
+    structure: str | None = None  # document structure tag, None for the default
+    detail: dict | None = None  # what the counterexample payload says about a failure
+
+    @cached_property
+    def document(self) -> AlgebraDocument:
+        return document_from(self.instance, self.structure)
+
+    @cached_property
+    def digest(self) -> str:
+        return instance_digest(self.document)
+
+    @property
+    def counterexample(self) -> dict | None:
+        if self.passed:
+            return None
+        return {"instance": document_to_dict(self.document), "detail": self.detail}
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -65,9 +99,19 @@ class CheckReport:
         return f"[{status}] {self.check} ({met}) instance {self.digest}"
 
 
-def _payload(obj, detail: dict) -> dict:
-    doc = document_from(obj)
-    return {"instance": document_to_dict(doc), "detail": detail}
+def check_report(
+    check: str,
+    instance,
+    hypothesis: dict,
+    met: bool,
+    conclusions: dict,
+    detail: dict | None = None,
+    structure: str | None = None,
+) -> CheckReport:
+    """The report of a check: it passes unless the hypothesis is met and a
+    conclusion fails."""
+    passed = not met or all(conclusions.values())
+    return CheckReport(check, hypothesis, met, conclusions, passed, instance, structure, detail)
 
 
 def subspace_engel_in(algebra: LieAlgebra, sub: Subspace) -> bool:
@@ -101,26 +145,19 @@ def _reducible(s: SubgradedAlgebra) -> bool:
     return assoc_closure_dim(list(s.algebra.basis_mats)) < n * n
 
 
+def _solvable_if(check: str, s: SubgradedAlgebra, hypothesis: dict, met: bool) -> CheckReport:
+    """The report of a theorem that concludes solvability."""
+    conclusions = {"solvable": is_solvable(s.algebra)} if met else {}
+    return check_report(check, s, hypothesis, met, conclusions, {"failed": "solvable"})
+
+
 def check_scalar_zero_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Cyclic grading with scalar zero component forces solvability."""
     if not s.group.is_cyclic():
         raise CheckUsageError("check requires a cyclic grading group")
-    digest = instance_digest(document_from(s))
     scalar0 = is_scalar_set(_zero_component(s), s.algebra.ambient_dim)
     hypothesis = {"graded": s.is_direct, "zero_component_scalar": scalar0}
-    met = s.is_direct and scalar0
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        solvable = is_solvable(s.algebra)
-        conclusions["solvable"] = solvable
-        passed = solvable
-        if not passed:
-            payload = _payload(s, {"failed": "solvable"})
-    return CheckReport(
-        "scalar-zero-solvable", digest, hypothesis, met, conclusions, passed, payload
-    )
+    return _solvable_if("scalar-zero-solvable", s, hypothesis, s.is_direct and scalar0)
 
 
 def _candidate_homogeneous(s: SubgradedAlgebra, degree) -> list[Mat]:
@@ -143,7 +180,6 @@ def _candidate_homogeneous(s: SubgradedAlgebra, degree) -> list[Mat]:
 def check_graded_cartan(s: SubgradedAlgebra) -> CheckReport:
     """Scalar zero component plus a non-scalar homogeneous Engel element
     forces reducibility."""
-    digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     scalar0 = is_scalar_set(_zero_component(s), n)
     witnesses = []
@@ -161,68 +197,30 @@ def check_graded_cartan(s: SubgradedAlgebra) -> CheckReport:
         "scanned_grid": "component bases and {-1,0,1} combinations",
     }
     met = s.is_direct and scalar0 and bool(witnesses)
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        passed = _reducible(s)
-        conclusions["reducible"] = passed
-        if not passed:
-            payload = _payload(s, {"failed": "reducible", "witness_degree": list(witnesses[0][0])})
-    return CheckReport(
-        "scalar-zero-engel-reducible", digest, hypothesis, met, conclusions, passed, payload
-    )
+    conclusions = {"reducible": _reducible(s)} if met else {}
+    detail = {"failed": "reducible", "witness_degree": list(witnesses[0][0])} if met else None
+    return check_report("scalar-zero-engel-reducible", s, hypothesis, met, conclusions, detail)
 
 
-def check_engel_components_solvable(s: SubgradedAlgebra, mode: str = "auto") -> CheckReport:
+def check_engel_components_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Engel components force solvability (all components, or the zero one
     when the group is cyclic)."""
-    if mode not in ("auto", "all", "zero"):
-        raise CheckUsageError(f"unknown mode {mode!r}")
-    digest = instance_digest(document_from(s))
-    hypothesis: dict = {}
-    met_all = met_zero = False
-    if mode in ("auto", "all"):
-        met_all = all(
-            subspace_engel_in(s.algebra, s.component(g)) for g in s.support
-        )
-        hypothesis["all_components_engel"] = met_all
-    if mode in ("auto", "zero") and s.group.is_cyclic():
+    met = all(subspace_engel_in(s.algebra, s.component(g)) for g in s.support)
+    hypothesis = {"all_components_engel": met}
+    if s.group.is_cyclic():
         met_zero = subspace_engel_in(s.algebra, _zero_component(s))
         hypothesis["cyclic_and_zero_component_engel"] = met_zero
-    met = met_all or met_zero
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        solvable = is_solvable(s.algebra)
-        conclusions["solvable"] = solvable
-        passed = solvable
-        if not passed:
-            payload = _payload(s, {"failed": "solvable", "mode": mode})
-    return CheckReport(
-        "engel-components-solvable", digest, hypothesis, met, conclusions, passed, payload
-    )
+        met = met or met_zero
+    return _solvable_if("engel-components-solvable", s, hypothesis, met)
 
 
 def check_engel_commutators_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Engel homogeneous commutators force solvability."""
-    digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     commutators = [m for _, m in homogeneous_commutators(s) if not m.is_zero()]
     met = subspace_engel_in(s.algebra, mat_span(commutators, n))
-    hypothesis = {"homogeneous_commutator_span_engel": met}
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        solvable = is_solvable(s.algebra)
-        conclusions["solvable"] = solvable
-        passed = solvable
-        if not passed:
-            payload = _payload(s, {"failed": "solvable"})
-    return CheckReport(
-        "engel-commutators-solvable", digest, hypothesis, met, conclusions, passed, payload
+    return _solvable_if(
+        "engel-commutators-solvable", s, {"homogeneous_commutator_span_engel": met}, met
     )
 
 
@@ -230,7 +228,6 @@ def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Engel brackets over opposite or non-cocyclic degree pairs force solvability."""
     from .groups import noncyclic_pairs
 
-    digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     group = s.group
     sharp = noncyclic_pairs(group)
@@ -245,24 +242,13 @@ def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
                 )
     mats = [m for m in mats if not m.is_zero()]
     met = subspace_engel_in(s.algebra, mat_span(mats, n))
-    hypothesis = {"designated_pair_bracket_span_engel": met}
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        solvable = is_solvable(s.algebra)
-        conclusions["solvable"] = solvable
-        passed = solvable
-        if not passed:
-            payload = _payload(s, {"failed": "solvable"})
-    return CheckReport(
-        "engel-pairings-solvable", digest, hypothesis, met, conclusions, passed, payload
+    return _solvable_if(
+        "engel-pairings-solvable", s, {"designated_pair_bracket_span_engel": met}, met
     )
 
 
 def check_nonabelian_solvable_zero_reducible(s: SubgradedAlgebra) -> CheckReport:
     """A solvable non-commutative zero component forces reducibility."""
-    digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     zero_alg = LieAlgebra.from_span(_zero_component(s), n)
     derived_nonzero = any(
@@ -277,16 +263,10 @@ def check_nonabelian_solvable_zero_reducible(s: SubgradedAlgebra) -> CheckReport
         "zero_component_noncommutative": derived_nonzero,
     }
     met = s.is_direct and solvable0 and derived_nonzero and n > 1
-    conclusions = {}
-    passed = True
-    payload = None
-    if met:
-        passed = _reducible(s)
-        conclusions["reducible"] = passed
-        if not passed:
-            payload = _payload(s, {"failed": "reducible"})
-    return CheckReport(
-        "nonabelian-solvable-zero-reducible", digest, hypothesis, met, conclusions, passed, payload
+    conclusions = {"reducible": _reducible(s)} if met else {}
+    return check_report(
+        "nonabelian-solvable-zero-reducible", s, hypothesis, met, conclusions,
+        {"failed": "reducible"},
     )
 
 
@@ -295,26 +275,18 @@ def check_odd_engel_solvable(s: SubgradedAlgebra) -> CheckReport:
     solvable (and the algebra reducible when the odd part is non-scalar)."""
     if s.group.moduli != (2,):
         raise CheckUsageError("check requires a two-element grading group")
-    digest = instance_digest(document_from(s))
     n = s.algebra.ambient_dim
     odd = s.component((1,))
     met = subspace_engel_in(s.algebra, odd)
-    hypothesis = {"odd_component_engel": met}
     conclusions = {}
-    passed = True
-    payload = None
     if met:
-        ideal = nonzero_opposite_bracket_ideal(s)
-        solvable = is_solvable(ideal.algebra)
+        solvable = is_solvable(nonzero_opposite_bracket_ideal(s).algebra)
         conclusions["paired_ideal_solvable"] = solvable
-        passed = solvable
-        if passed and not is_scalar_set(odd, n) and n > 1:
-            passed = _reducible(s)
-            conclusions["reducible"] = passed
-        if not passed:
-            payload = _payload(s, {"failed": [k for k, v in conclusions.items() if not v]})
-    return CheckReport(
-        "odd-engel-solvable", digest, hypothesis, met, conclusions, passed, payload
+        if solvable and not is_scalar_set(odd, n) and n > 1:
+            conclusions["reducible"] = _reducible(s)
+    return check_report(
+        "odd-engel-solvable", s, {"odd_component_engel": met}, met, conclusions,
+        {"failed": [k for k, v in conclusions.items() if not v]},
     )
 
 
@@ -330,57 +302,90 @@ def _nilpotent_grid(algebra: LieAlgebra) -> list[Mat]:
 
 def check_nilpotent_sum_closed(algebra: LieAlgebra) -> CheckReport:
     """Triangularizable algebras keep nilpotents closed under addition; for
-    non-triangularizable ones the report records an offending pair if the
-    grid exhibits one (no assertion either way)."""
-    digest = instance_digest(document_from(algebra))
+    non-triangularizable ones the report records whether the grid exhibits an
+    offending pair (no assertion either way)."""
     solvable = is_solvable(algebra)
     nils = _nilpotent_grid(algebra)
-    offending = None
-    for i, a in enumerate(nils):
-        for b in nils[i + 1 :]:
-            if not is_nilpotent_exact(a + b):
-                offending = (a, b)
-                break
-        if offending:
-            break
+    closed = all(
+        is_nilpotent_exact(a + b) for i, a in enumerate(nils) for b in nils[i + 1 :]
+    )
     hypothesis = {"triangularizable": solvable, "grid_size": len(nils)}
-    conclusions = {"nilpotent_sums_closed_on_grid": offending is None}
-    passed = (offending is None) if solvable else True
-    payload = None
-    if not passed:
-        payload = _payload(algebra, {"failed": "nilpotent sum", "pair": "see instance"})
-    return CheckReport(
-        "nilpotent-sum-closed", digest, hypothesis, solvable, conclusions, passed, payload
+    return check_report(
+        "nilpotent-sum-closed", algebra, hypothesis, solvable,
+        {"nilpotent_sums_closed_on_grid": closed},
+        {"failed": "nilpotent sum", "pair": "see instance"},
     )
 
 
 def check_engel_sum_closed(algebra: LieAlgebra) -> CheckReport:
     """In a solvable algebra, sums of ad-nilpotent grid elements stay ad-nilpotent."""
-    digest = instance_digest(document_from(algebra))
     solvable = is_solvable(algebra)
-    hypothesis = {"solvable": solvable}
     conclusions = {}
-    passed = True
-    payload = None
     if solvable:
         basis = list(algebra.basis_mats)
-        cands = list(basis)
-        for i, a in enumerate(basis):
-            for b in basis[i + 1 :]:
-                cands.append(a + b)
+        cands = basis + [a + b for i, a in enumerate(basis) for b in basis[i + 1 :]]
         engels = [m for m in cands if is_engel_element(algebra, m)]
-        ok = True
-        for i, a in enumerate(engels):
-            for b in engels[i + 1 :]:
-                if not is_engel_element(algebra, a + b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        conclusions["engel_sums_closed_on_grid"] = ok
-        passed = ok
-        if not passed:
-            payload = _payload(algebra, {"failed": "engel sum"})
-    return CheckReport(
-        "engel-sum-closed", digest, hypothesis, solvable, conclusions, passed, payload
+        conclusions["engel_sums_closed_on_grid"] = all(
+            is_engel_element(algebra, a + b)
+            for i, a in enumerate(engels)
+            for b in engels[i + 1 :]
+        )
+    return check_report(
+        "engel-sum-closed", algebra, {"solvable": solvable}, solvable, conclusions,
+        {"failed": "engel sum"},
+    )
+
+
+def check_cartan_equivalence(algebra: LieAlgebra) -> CheckReport:
+    """The trace-form test and the derived series agree on solvability."""
+    agreed = cartan_test(algebra) == is_solvable(algebra)
+    return check_report(
+        "cartan-equivalence", algebra, {}, True, {"trace_test_matches_derived_series": agreed}
+    )
+
+
+def check_triple_volterra(m: MatSubspace) -> CheckReport:
+    """A nil triple system has a solvable envelope."""
+    solvable = is_solvable(triple_to_z2(m).algebra)
+    return check_report(
+        "triple-volterra", m, {"nil_triple_system": True}, True,
+        {"envelope_solvable": solvable}, structure="triple",
+    )
+
+
+def check_jordan_volterra(j: MatSubspace) -> CheckReport:
+    """A nil Jordan algebra has a solvable envelope."""
+    solvable = is_solvable(jordan_to_z2(j).algebra)
+    return check_report(
+        "jordan-volterra", j, {"nil_jordan_algebra": True}, True,
+        {"envelope_solvable": solvable}, structure="jordan",
+    )
+
+
+def check_jordan_chain(pair: tuple[MatSubspace, MatSubspace]) -> CheckReport:
+    """A Jordan algebra and an ideal give a verified chain of nested Lie algebras."""
+    j, i = pair
+    try:
+        jordan_ideal_chain(j, i)
+        error = None
+    except IdealChainError as exc:
+        error = str(exc)
+    return check_report(
+        "jordan-chain", j, {"jordan_ideal_pair": True}, True,
+        {"chain_verified": error is None}, {"error": error}, "jordan",
+    )
+
+
+def check_ampliation(s: SubgradedAlgebra) -> CheckReport:
+    """The ampliation is direct with a back map that inverts it, and Engel and
+    solvability transfer back down."""
+    hypothesis = {"graded_instance": True}
+    try:
+        direct = ampliate(s).ampliated.is_direct
+    except GradingError as exc:  # not direct, or the back map does not invert it
+        return check_report(
+            "ampliation", s, hypothesis, True, {"ampliation_verified": False}, {"error": str(exc)}
+        )
+    return check_report(
+        "ampliation", s, hypothesis, True, {"direct": direct, "transfer_ok": check_maptri(s).ok}
     )

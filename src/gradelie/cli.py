@@ -46,7 +46,7 @@ from .spectral import (
     verify_flag,
 )
 from .scalars import format_scalar
-from .campaigns import run_campaign
+from .campaigns import CampaignError, resolve_campaign, run_campaign
 from .checks import subspace_engel_in
 
 __all__ = ["main"]
@@ -277,7 +277,14 @@ def _cmd_irreducible(doc: AlgebraDocument, args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    result = run_campaign(args.lemma, trials=args.trials, seed=args.seed, dim_max=args.dim_max)
+    try:
+        name = resolve_campaign(args.lemma)
+    except KeyError as exc:
+        raise DocumentError("--lemma", str(exc))
+    try:
+        result = run_campaign(name, trials=args.trials, seed=args.seed, dim_max=args.dim_max)
+    except CampaignError as exc:
+        raise DocumentError(f"--{exc.option}", str(exc))
     if args.report == "json":
         payload = {
             "campaign": result.name,
@@ -356,10 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "fuzz":
-            try:
-                return _cmd_fuzz(args)
-            except KeyError as exc:
-                raise DocumentError("--lemma", str(exc))
+            return _cmd_fuzz(args)
         if args.command == "example":
             return _cmd_example(args)
         doc = _load(args.input)

@@ -2,9 +2,9 @@
 
 A subgrading is a component map degree -> subspace whose sum is the whole
 algebra and which respects addition of degrees under the bracket; the sum
-need not be direct.  This module verifies such data, transports it along
-quotient groups and automorphisms, and builds the graded ampliation that
-turns a subgraded algebra into a genuinely graded one on a larger space.
+need not be direct.  This module verifies such data and builds the graded
+ampliation that turns a subgraded algebra into a genuinely graded one on a
+larger space.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .matrices import Mat, bracket, to_numeric
-from .scalars import GaussianRational
+from .matrices import Mat, bracket
 from .subspaces import (
     Subspace,
-    column_kernel,
     mat_span,
     span_basis_mats,
     subspace_sum,
 )
-from .groups import FinAbGroup, GroupElem, quotient_group, regular_rep
+from .groups import FinAbGroup, GroupElem, regular_rep
 from .lie import (
     LieAlgebra,
     is_ideal,
@@ -42,12 +38,7 @@ __all__ = [
     "check_maptri",
     "MaptriReport",
     "homogeneous_commutators",
-    "opposite_bracket_ideal",
     "nonzero_opposite_bracket_ideal",
-    "grading_from_automorphism",
-    "coarsen_by_subgroup",
-    "endo_eigenspace_product_check",
-    "EndoReport",
 ]
 
 
@@ -284,17 +275,17 @@ class MaptriReport:
 
 
 def check_maptri(subgraded: SubgradedAlgebra) -> MaptriReport:
-    """Engel/solvable transfer from the ampliation down to the original algebra."""
+    """Engel/solvable transfer from the ampliation down to the original algebra.
+
+    The report says whether the transfer holds; ``ok`` is false on a violation.
+    """
     amp = ampliate(subgraded).ampliated
-    report = MaptriReport(
+    return MaptriReport(
         ampliated_engel=is_nilpotent_lie(amp.algebra),
         original_engel=is_nilpotent_lie(subgraded.algebra),
         ampliated_solvable=is_solvable(amp.algebra),
         original_solvable=is_solvable(subgraded.algebra),
     )
-    if not report.ok:
-        raise AssertionError(f"ampliation transfer violated: {report}")
-    return report
 
 
 def homogeneous_commutators(subgraded: SubgradedAlgebra) -> list[tuple[GroupElem, Mat]]:
@@ -318,18 +309,17 @@ def homogeneous_commutators(subgraded: SubgradedAlgebra) -> list[tuple[GroupElem
     return out
 
 
-def _paired_zero_component(subgraded: SubgradedAlgebra, include_zero: bool) -> Subspace:
+def nonzero_opposite_bracket_ideal(subgraded: SubgradedAlgebra) -> SubgradedAlgebra:
+    """Replace the zero component by the sum of [L_g, L_{-g}] over nonzero degrees."""
     group = subgraded.group
     n = subgraded.algebra.ambient_dim
     zero = group.zero()
-    acc = Subspace.zero(n * n)
+    new_zero = Subspace.zero(n * n)
     done = set()
     for g in subgraded.support:
         neg = group.neg(g)
-        if g == zero and not include_zero:
-            continue
         key = (min(g, neg), max(g, neg))
-        if key in done:
+        if g == zero or key in done:
             continue
         done.add(key)
         if subgraded.component(neg).dim == 0:
@@ -343,15 +333,7 @@ def _paired_zero_component(subgraded: SubgradedAlgebra, include_zero: bool) -> S
             n,
         )
         if piece.dim:
-            acc = subspace_sum(acc, piece)
-    return acc
-
-
-def _rebuild_zero_component(subgraded: SubgradedAlgebra, include_zero: bool) -> SubgradedAlgebra:
-    group = subgraded.group
-    n = subgraded.algebra.ambient_dim
-    zero = group.zero()
-    new_zero = _paired_zero_component(subgraded, include_zero)
+            new_zero = subspace_sum(new_zero, piece)
     comps: dict[GroupElem, Subspace] = {}
     total = new_zero
     for g in subgraded.support:
@@ -365,192 +347,3 @@ def _rebuild_zero_component(subgraded: SubgradedAlgebra, include_zero: bool) -> 
     if not is_ideal(subgraded.algebra, algebra.span):
         raise AssertionError("rebuilt zero-component subalgebra failed the ideal check")
     return result
-
-
-def opposite_bracket_ideal(subgraded: SubgradedAlgebra) -> SubgradedAlgebra:
-    """Replace the zero component by the sum of [L_g, L_{-g}] over all degrees."""
-    return _rebuild_zero_component(subgraded, include_zero=True)
-
-
-def nonzero_opposite_bracket_ideal(subgraded: SubgradedAlgebra) -> SubgradedAlgebra:
-    """Replace the zero component by the sum of [L_g, L_{-g}] over nonzero degrees."""
-    return _rebuild_zero_component(subgraded, include_zero=False)
-
-
-# -- gradings from automorphisms ---------------------------------------------
-
-_FOURTH_ROOTS = {
-    0: GaussianRational(1),
-    1: GaussianRational(0, 1),
-    2: GaussianRational(-1),
-    3: GaussianRational(0, -1),
-}
-
-
-def _apply_coord_map(algebra: LieAlgebra, phi: Mat, m: Mat) -> Mat:
-    coords = algebra.span.coordinates(m)
-    if coords is None:
-        raise ValueError("matrix is outside the algebra")
-    new_coords = [
-        sum(
-            (phi.entry(k, i) * coords[i] for i in range(algebra.dim)),
-            GaussianRational(0),
-        )
-        for k in range(algebra.dim)
-    ]
-    return algebra.combination(new_coords)
-
-
-def _check_bracket_compatible(algebra: LieAlgebra, phi: Mat) -> None:
-    d = algebra.dim
-    if phi.shape != (d, d):
-        raise GradingError(f"endomorphism matrix must be {d}x{d}")
-    images = [_apply_coord_map(algebra, phi, b) for b in algebra.basis_mats]
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = _apply_coord_map(algebra, phi, bracket(algebra.basis_mats[i], algebra.basis_mats[j]))
-            rhs = bracket(images[i], images[j])
-            if lhs != rhs:
-                raise GradingError("map does not preserve the bracket")
-
-
-def grading_from_automorphism(algebra: LieAlgebra, phi: Mat, n: int) -> SubgradedAlgebra:
-    """Eigenspace decomposition of a finite-order automorphism as a Z_n grading."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    d = algebra.dim
-    _check_bracket_compatible(algebra, phi)
-    if phi.power(n) != Mat.identity(d):
-        raise GradingError(f"map does not have order dividing {n}")
-    # invertibility follows from phi^n = 1; no separate rank check needed
-    group = FinAbGroup([n])
-    components: dict[GroupElem, object] = {}
-    covered = 0
-    phi_num = None
-    for k in range(n):
-        if (4 * k) % n == 0:
-            theta = _FOURTH_ROOTS[(4 * k // n) % 4]
-            shift = phi - Mat.identity(d).scale(theta)
-            kernel = column_kernel(shift)
-            mats = [algebra.combination(vec) for vec in kernel]
-            if mats:
-                components[(k,)] = mats
-                covered += len(kernel)
-        else:
-            if phi_num is None:
-                phi_num = to_numeric(phi).array
-            theta_num = complex(np.exp(2j * np.pi * k / n))
-            shift_num = phi_num - theta_num * np.eye(d)
-            sv = np.linalg.svd(shift_num, compute_uv=False) if d else np.array([])
-            scale = sv[0] if len(sv) and sv[0] > 0 else 1.0
-            nullity = int(np.sum(sv <= 1e-9 * scale))
-            if nullity > 0:
-                raise GradingError(
-                    f"eigenspace at a root of unity outside Q(i) (k={k}) cannot be "
-                    "rationalized"
-                )
-    if covered != d:
-        raise GradingError("eigenspaces do not span the algebra")
-    return verify_subgrading(algebra, group, components)
-
-
-def coarsen_by_subgroup(
-    subgraded: SubgradedAlgebra, subgroup_gens: Sequence[GroupElem]
-) -> SubgradedAlgebra:
-    """Push the grading forward along the quotient by a subgroup."""
-    quo, proj = quotient_group(subgraded.group, list(subgroup_gens))
-    n = subgraded.algebra.ambient_dim
-    comps: dict[GroupElem, Subspace] = {}
-    for g in subgraded.support:
-        target = proj[g]
-        piece = subgraded.component(g)
-        if target in comps:
-            comps[target] = subspace_sum(comps[target], piece)
-        else:
-            comps[target] = piece
-    return verify_subgrading(subgraded.algebra, quo, comps)
-
-
-# -- endomorphism eigenspace products ----------------------------------------
-
-
-@dataclass(frozen=True)
-class EndoEntry:
-    lam: complex
-    mu: complex
-    product: complex
-    max_residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class EndoReport:
-    eigenvalues: tuple
-    entries: tuple[EndoEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
-def endo_eigenspace_product_check(
-    algebra: LieAlgebra, phi: Mat, tol: float = 1e-9
-) -> EndoReport:
-    """[E_lam, E_mu] lands in the generalized eigenspace of lam*mu, numerically."""
-    d = algebra.dim
-    _check_bracket_compatible(algebra, phi)
-    if d == 0:
-        return EndoReport((), ())
-    phi_num = to_numeric(phi).array
-    eigvals = np.linalg.eigvals(phi_num)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    clusters: list[complex] = []
-    for ev in eigvals:
-        for c in clusters:
-            if abs(ev - c) <= 1e-6 * scale:
-                break
-        else:
-            clusters.append(complex(ev))
-    spaces = {}
-    for lam in clusters:
-        power = np.linalg.matrix_power(phi_num - lam * np.eye(d), d)
-        _, sv, vh = np.linalg.svd(power)
-        top = sv[0] if sv[0] > 0 else 1.0
-        nullity = int(np.sum(sv <= 1e-9 * top))
-        basis = vh[d - nullity :].conj().T if nullity else np.zeros((d, 0))
-        spaces[lam] = basis
-    # exact structure tensor, evaluated numerically
-    tensor = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = algebra.span.coordinates(bracket(algebra.basis_mats[i], algebra.basis_mats[j]))
-            vec = np.array([complex(c) for c in coords])
-            tensor[i, j, :] = vec
-            tensor[j, i, :] = -vec
-    entries = []
-    for lam in clusters:
-        for mu in clusters:
-            ba, bb = spaces[lam], spaces[mu]
-            if ba.shape[1] == 0 or bb.shape[1] == 0:
-                continue
-            prod = lam * mu
-            target = None
-            for c in clusters:
-                if abs(prod - c) <= 1e-6 * max(1.0, abs(prod)):
-                    target = spaces[c]
-                    break
-            worst = 0.0
-            for x in ba.T:
-                for y in bb.T:
-                    w = np.einsum("i,j,ijk->k", x, y, tensor)
-                    norm = float(np.linalg.norm(w))
-                    if target is not None and target.shape[1]:
-                        q, _ = np.linalg.qr(target)
-                        resid = float(np.linalg.norm(w - q @ (q.conj().T @ w)))
-                    else:
-                        resid = norm
-                    worst = max(worst, resid)
-            entries.append(
-                EndoEntry(lam, mu, prod, worst, worst <= tol * max(1.0, scale ** 2))
-            )
-    return EndoReport(tuple(clusters), tuple(entries))

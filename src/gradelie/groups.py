@@ -1,7 +1,7 @@
 """Finite abelian groups as direct products of cyclic groups.
 
-Group elements are canonical residue tuples.  Quotients and invariant factors
-go through an integer Smith normal form, so the cyclic/non-cyclic structure
+Group elements are canonical residue tuples.  Invariant factors come from
+the gcd/lcm divisor chain of the moduli, so the cyclic/non-cyclic structure
 questions (and the non-cyclic pair relation) are decided exactly.
 """
 
@@ -19,8 +19,6 @@ __all__ = [
     "GroupElem",
     "noncyclic_pairs",
     "regular_rep",
-    "quotient_group",
-    "diagonalize_relations",
 ]
 
 GroupElem = tuple[int, ...]
@@ -117,111 +115,6 @@ def _divisor_chain(diag: Sequence[int]) -> tuple[int, ...]:
                 d[i], d[i + 1] = g, d[i] * d[i + 1] // g
                 changed = True
     return tuple(x for x in d if x > 1)
-
-
-def diagonalize_relations(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize an integer relation matrix by unimodular row/column operations.
-
-    Returns (d, V) with U*A*V = diag(d) for some unimodular U; V is the
-    accumulated column operation matrix (k x k for a matrix with k columns).
-    The diagonal is positive but not necessarily a divisor chain.  Requires
-    the row lattice to have full column rank (true for group relation
-    matrices, which contain diag(moduli)).
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    k = len(a[0]) if m else 0
-    v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(src, dst, mult):
-        for r in a:
-            r[dst] += mult * r[src]
-        for r in v:
-            r[dst] += mult * r[src]
-
-    def negate_col(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-
-    t = 0
-    while t < k and t < m:
-        # find a pivot
-        found = None
-        for i in range(t, m):
-            for j in range(t, k):
-                if a[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        swap_rows(t, found[0])
-        swap_cols(t, found[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, k):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            negate_col(t)
-        t += 1
-    d = [a[i][i] if i < m else 0 for i in range(k)]
-    if any(x == 0 for x in d):
-        raise ValueError("relation lattice does not have full column rank")
-    return d, v
-
-
-def quotient_group(
-    group: FinAbGroup, subgroup_gens: Sequence[GroupElem]
-) -> tuple[FinAbGroup, dict[GroupElem, GroupElem]]:
-    """The quotient by the subgroup the generators produce, plus the projection map."""
-    for g in subgroup_gens:
-        if not group.contains(g):
-            raise ValueError(f"generator {g} outside the group")
-    k = len(group.moduli)
-    if k == 0:
-        return FinAbGroup(()), {(): ()}
-    relations = [
-        [group.moduli[i] if i == j else 0 for j in range(k)] for i in range(k)
-    ]
-    relations.extend(list(g) for g in subgroup_gens)
-    d, v = diagonalize_relations(relations)
-    keep = [i for i in range(k) if d[i] > 1]
-    quo = FinAbGroup(tuple(d[i] for i in keep))
-    proj: dict[GroupElem, GroupElem] = {}
-    for g in group.elements():
-        image = [sum(g[r] * v[r][c] for r in range(k)) for c in range(k)]
-        proj[g] = tuple(image[i] % d[i] for i in keep)
-    return quo, proj
 
 
 def noncyclic_pairs(group: FinAbGroup) -> set[tuple[GroupElem, GroupElem]]:

@@ -18,40 +18,31 @@ from .matrices import (
     is_nilpotent_exact,
     jordan_product,
     trace_product,
-    triple_product,
 )
 from .subspaces import (
     LieAlgebra,
     NotClosedError,
     Subspace,
     _Echelon,
-    linear_relations,
     mat_span,
     span_basis_mats,
-    stack_vertical,
 )
 
 __all__ = [
     "LieAlgebra",
     "SeriesReport",
-    "KillingGram",
     "lie_closure",
     "ad_matrix",
     "derived_series",
     "lower_central_series",
     "is_solvable",
     "is_nilpotent_lie",
-    "killing_form",
     "cartan_test",
     "is_engel_element",
     "is_nil_subspace",
-    "trace_orthogonal_ideal",
     "is_ideal",
-    "center",
     "is_scalar_set",
-    "engel_sum_check",
     "jordan_product",
-    "triple_product",
     "NotClosedError",
     "NormalizerError",
     "ClosureCapError",
@@ -77,11 +68,6 @@ class SeriesReport:
     terms: tuple[Subspace, ...]
     stabilized: bool
     terminal_dim: int
-
-
-@dataclass(frozen=True)
-class KillingGram:
-    gram: Mat
 
 
 def lie_closure(
@@ -185,21 +171,6 @@ def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:
     """A canonical basis of [L, L]."""
     span = _bracket_span(list(algebra.basis_mats), [], algebra.ambient_dim, same=True)
     return span_basis_mats(span, algebra.ambient_dim)
-
-
-def killing_form(algebra: LieAlgebra) -> KillingGram:
-    """Gram matrix tr(ad b_i * ad b_j) over the canonical basis."""
-    d = algebra.dim
-    ads = [ad_matrix(algebra, b) for b in algebra.basis_mats]
-    grid = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            v = trace_product(ads[i], ads[j])
-            grid[i][j] = v
-            grid[j][i] = v
-    if d == 0:
-        return KillingGram(Mat.zeros(0, 0))
-    return KillingGram(Mat.from_rows(grid))
 
 
 def cartan_test(algebra: LieAlgebra) -> bool:
@@ -319,19 +290,6 @@ def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
     return True
 
 
-def trace_orthogonal_ideal(algebra: LieAlgebra) -> Subspace:
-    """The ideal {x in L : tr(x b) = 0 for every b in L}."""
-    n = algebra.ambient_dim
-    basis = algebra.basis_mats
-    if not basis:
-        return Subspace.zero(n * n)
-    gram = [[trace_product(a, b) for b in basis] for a in basis]
-    ideal = mat_span([algebra.combination(c) for c in linear_relations(gram)], n)
-    if not is_ideal(algebra, ideal):
-        raise AssertionError("trace-orthogonal subspace failed the ideal check")
-    return ideal
-
-
 def is_ideal(algebra: LieAlgebra, candidate: Subspace) -> bool:
     """True iff [L, candidate] is contained in candidate; candidate must lie in L."""
     n = algebra.ambient_dim
@@ -343,17 +301,6 @@ def is_ideal(algebra: LieAlgebra, candidate: Subspace) -> bool:
     )
 
 
-def center(algebra: LieAlgebra) -> Subspace:
-    """Kernel of all adjoint maps, as a subspace of flattened gl(n)."""
-    n = algebra.ambient_dim
-    basis = algebra.basis_mats
-    if not basis:
-        return Subspace.zero(n * n)
-    # sum_i c_i b_i is central iff sum_i c_i [b_i, b_j] = 0 for every j
-    ads = [stack_vertical([bracket(a, b) for b in basis]) for a in basis]
-    return mat_span([algebra.combination(c) for c in linear_relations(ads)], n)
-
-
 def is_scalar_set(v: Subspace, side: int | None = None) -> bool:
     """True iff the subspace consists of scalar multiples of the identity."""
     if v.is_zero():
@@ -363,15 +310,3 @@ def is_scalar_set(v: Subspace, side: int | None = None) -> bool:
         if side * side != v.ambient_dim:
             raise ShapeError("subspace ambient is not a flattened square")
     return all(m.is_scalar() for m in span_basis_mats(v, side))
-
-
-def engel_sum_check(algebra: LieAlgebra, a: Mat, b: Mat) -> bool:
-    """In a solvable algebra, the sum of two ad-nilpotent members stays ad-nilpotent."""
-    if not is_solvable(algebra):
-        raise PreconditionError("algebra is not solvable")
-    for name, m in (("a", a), ("b", b)):
-        if not algebra.contains_mat(m):
-            raise PreconditionError(f"{name} is not in the algebra")
-        if not is_engel_element(algebra, m):
-            raise PreconditionError(f"{name} is not an Engel element")
-    return is_engel_element(algebra, a + b)

@@ -18,14 +18,10 @@ from .scalars import GaussianRational
 
 __all__ = [
     "Mat",
-    "NumMat",
     "bracket",
     "jordan_product",
-    "triple_product",
     "trace_product",
     "is_nilpotent_exact",
-    "flatten",
-    "unflatten",
     "to_numeric",
     "ShapeError",
 ]
@@ -340,36 +336,6 @@ class Mat:
         return f"Mat[{self.n_rows}x{self.n_cols}: {body}]"
 
 
-class NumMat:
-    """Immutable complex double-precision matrix; entries must be finite."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array_like):
-        arr = np.array(array_like, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ShapeError("NumMat requires a 2-d grid")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("NumMat entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumMat is immutable")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    def __eq__(self, other):
-        if not isinstance(other, NumMat):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.all(self.array == other.array))
-
-    def __repr__(self):
-        return f"NumMat({self.array!r})"
-
-
 # -- free functions -------------------------------------------------------
 
 
@@ -400,11 +366,6 @@ def bracket(a: Mat, b: Mat) -> Mat:
 def jordan_product(a: Mat, b: Mat) -> Mat:
     """Anticommutator ab + ba."""
     return _ab_plus_sign_ba(a, b, 1)
-
-
-def triple_product(a: Mat, b: Mat, c: Mat) -> Mat:
-    """Iterated commutator [a, [b, c]]."""
-    return bracket(a, bracket(b, c))
 
 
 def trace_product(a: Mat, b: Mat) -> GaussianRational:
@@ -444,27 +405,10 @@ def is_nilpotent_exact(a: Mat) -> bool:
     return p.is_zero()
 
 
-def flatten(a: Mat) -> tuple[GaussianRational, ...]:
-    """Row-major entry vector of a square matrix."""
-    if not a.is_square():
-        raise ShapeError("flatten expects a square matrix")
-    n = a.n_cols
-    return tuple(a.entry(i, j) for i in range(n) for j in range(n))
-
-
-def unflatten(v: Sequence, n: int) -> Mat:
-    """Inverse of flatten for a length n*n vector."""
-    if len(v) != n * n:
-        raise ShapeError(f"expected {n * n} entries, got {len(v)}")
-    return Mat.from_rows([list(v[i * n : (i + 1) * n]) for i in range(n)])
-
-
-def to_numeric(a: Mat) -> NumMat:
-    """Nearest double-precision value per rational part."""
-    grid = [
-        [complex(float(Fraction(a.re[i * a.n_cols + j], a.den)),
-                 float(Fraction(a.im[i * a.n_cols + j], a.den)))
-         for j in range(a.n_cols)]
-        for i in range(a.n_rows)
-    ]
-    return NumMat(grid)
+def to_numeric(a: Mat) -> np.ndarray:
+    """Nearest complex double per rational part; OverflowError beyond the double range."""
+    den = a.den
+    return np.array(
+        [complex(float(Fraction(x, den)), float(Fraction(y, den))) for x, y in zip(a.re, a.im)],
+        dtype=np.complex128,
+    ).reshape(a.n_rows, a.n_cols)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .matrices import Mat, NumMat, ShapeError, to_numeric
+from .matrices import Mat, ShapeError, to_numeric
 from .scalars import GaussianRational
 from .subspaces import (
     Subspace,
@@ -42,7 +42,6 @@ __all__ = [
     "IrreducibilityVerdict",
     "eig_numeric",
     "spectral_radius",
-    "generalized_eigenspace_numeric",
     "assoc_closure_dim",
     "decide_irreducible",
     "triangularize_solvable",
@@ -73,22 +72,14 @@ class TriangularizationError(ValueError):
     """A flag could not be constructed or verified."""
 
 
-def _as_array(a) -> np.ndarray:
-    if isinstance(a, NumMat):
-        return a.array
-    if isinstance(a, Mat):
-        return to_numeric(a).array
-    raise TypeError(f"expected Mat or NumMat, got {type(a).__name__}")
-
-
-def eig_numeric(a, tol: float = 1e-9) -> list[complex]:
+def eig_numeric(a: Mat, tol: float = 1e-9) -> list[complex]:
     """Eigenvalues with multiplicity, via unitary reduction to triangular form.
 
     The similarity residual ||a - Z T Z*|| is checked against tol * ||a||.
     """
-    arr = _as_array(a)
-    if arr.shape[0] != arr.shape[1]:
+    if not a.is_square():
         raise ShapeError("eigenvalues of a non-square matrix")
+    arr = to_numeric(a)
     n = arr.shape[0]
     if n == 0:
         return []
@@ -103,25 +94,10 @@ def eig_numeric(a, tol: float = 1e-9) -> list[complex]:
     return [complex(v) for v in np.diag(t)]
 
 
-def spectral_radius(a, tol: float = 1e-9) -> float:
+def spectral_radius(a: Mat, tol: float = 1e-9) -> float:
     """max |eigenvalue|."""
     vals = eig_numeric(a, tol)
     return max((abs(v) for v in vals), default=0.0)
-
-
-def generalized_eigenspace_numeric(a, lam: complex, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of ker (a - lam)^n at the given tolerance (n x k array)."""
-    arr = _as_array(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeError("eigenspace of a non-square matrix")
-    n = arr.shape[0]
-    power = np.linalg.matrix_power(arr - lam * np.eye(n), n)
-    _, sv, vh = np.linalg.svd(power)
-    top = sv[0] if len(sv) and sv[0] > 0 else 1.0
-    nullity = int(np.sum(sv <= tol * max(1.0, top)))
-    if nullity == 0:
-        return np.zeros((n, 0), dtype=complex)
-    return vh[n - nullity :].conj().T
 
 
 # -- associative closure and irreducibility ----------------------------------
@@ -243,7 +219,10 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
         for _ in range(_RANDOM_PROBES):
             yield tuple(GaussianRational(rng.randint(-3, 3)) for _ in range(n))
         for m in mats + basis[: 2 * _SINGULAR_BUDGET]:
-            arr = to_numeric(m).array
+            try:
+                arr = to_numeric(m)
+            except OverflowError:  # beyond the double range there is no guess
+                continue
             vals, vecs = np.linalg.eig(arr)
             for idx in range(len(vals)):
                 v = vecs[:, idx]
@@ -333,7 +312,10 @@ def _eigenvalue_candidates(z: Mat) -> list[GaussianRational]:
         push(z.entry(i, i))
     push(z.trace() * GaussianRational(Fraction(1, t)))
     push(GaussianRational(0))
-    vals = [complex(v) for v in np.linalg.eigvals(to_numeric(z).array)]
+    try:
+        vals = [complex(v) for v in np.linalg.eigvals(to_numeric(z))]
+    except OverflowError:  # beyond the double range there is no guess
+        vals = []
     groups: list[list[complex]] = []
     for radius in (1e-9, 1e-6, 1e-3):
         clusters: list[list[complex]] = []
@@ -503,24 +485,31 @@ class FlagReport:
         return max((e.residual for e in self.entries), default=0.0)
 
 
-def verify_flag(mats: Sequence, flag: Flag, tol: float = 0.0) -> FlagReport:
+def verify_flag(mats: Sequence[Mat], flag: Flag, tol: float = 0.0) -> FlagReport:
     """Check that every chain member is invariant under every matrix.
 
-    With tol = 0 and exact matrices the check is exact; otherwise the
-    strictly-lower residual of the conjugated matrices is compared to tol.
+    With tol = 0 the check is exact; otherwise the strictly-lower residual of
+    the conjugated matrices is compared to tol, unless an entry lies beyond
+    the double range, where the exact check decides instead.
     """
-    exact = tol == 0.0 and all(isinstance(m, Mat) for m in mats)
-    if exact:
-        entries = [
-            FlagEntry(idx, all(_verify_invariant([m], sub) for sub in flag.chain), 0.0)
-            for idx, m in enumerate(mats)
-        ]
-        return FlagReport("exact", tuple(entries))
-    u = to_numeric(flag.basis_change).array
+    if tol:
+        try:
+            return _verify_flag_numeric(mats, flag, tol)
+        except OverflowError:
+            pass
+    entries = [
+        FlagEntry(idx, all(_verify_invariant([m], sub) for sub in flag.chain), 0.0)
+        for idx, m in enumerate(mats)
+    ]
+    return FlagReport("exact", tuple(entries))
+
+
+def _verify_flag_numeric(mats: Sequence[Mat], flag: Flag, tol: float) -> FlagReport:
+    u = to_numeric(flag.basis_change)
     u_inv = np.linalg.inv(u)
     entries = []
     for idx, m in enumerate(mats):
-        arr = _as_array(m)
+        arr = to_numeric(m)
         t = u_inv @ arr @ u
         lower = np.tril(t, k=-1)
         resid = float(np.max(np.abs(lower))) if lower.size else 0.0

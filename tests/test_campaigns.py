@@ -43,3 +43,24 @@ def test_reducibility_is_decided_by_closure_dimension():
     # defined over Q(i); Burnside's dimension count needs no witness
     assert run_campaign("scalar-zero-engel", trials=30, seed=3).ok
     assert run_campaign("odd-engel", trials=30, seed=3).ok
+
+
+def test_passing_campaigns_compute_no_digest(monkeypatch):
+    # the digest is built when a report is read for output, so only for failures
+    import sys
+
+    calls = []
+
+    def counting(doc):
+        calls.append(doc)
+        return "0" * 16
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("gradelie") and hasattr(
+            module, "instance_digest"
+        ):
+            monkeypatch.setattr(module, "instance_digest", counting)
+    for name in ("engel-components", "nilpotent-sum", "jordan-chain", "ampliation"):
+        assert run_campaign(name, trials=8, seed=3, dim_max=3).ok
+    assert calls == []
+

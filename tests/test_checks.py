@@ -1,7 +1,7 @@
 import pytest
 
 from gradelie.matrices import Mat
-from gradelie.documents import materialize
+from gradelie.documents import document_from, instance_digest, materialize, parse_document
 from gradelie.examples import build_example
 from gradelie.generators import gen_nilpotent_triple, gen_weight_graded
 from gradelie.structures import triple_to_z2
@@ -16,6 +16,7 @@ from gradelie.checks import (
     check_nilpotent_sum_closed,
     check_nonabelian_solvable_zero_reducible,
     check_odd_engel_solvable,
+    check_report,
     check_scalar_zero_solvable,
     subspace_engel_in,
 )
@@ -154,22 +155,17 @@ def test_engel_sum_check_heisenberg():
 
 
 def test_counterexample_payload_replays():
-    # force a fake failure payload through the document round trip
     s = materialize(build_example("e1"))
     report = check_scalar_zero_solvable(s)
-    assert report.counterexample is None
-    from gradelie.documents import parse_document
-
-    # any payload-bearing report must replay to the same digest
-    from gradelie.checks import _payload
-    from gradelie.documents import instance_digest, document_from
-
-    payload = _payload(s, {"note": "synthetic"})
-    doc = parse_document(payload["instance"])
-    replayed = materialize(doc)
-    assert instance_digest(document_from(replayed)) == instance_digest(
-        document_from(s)
-    )
+    assert report.passed and report.counterexample is None
+    # a failing report on the same instance replays to the same digest
+    failing = check_report("synthetic", s, {}, True, {"holds": False}, {"note": "synthetic"})
+    assert not failing.passed
+    assert failing.counterexample["detail"] == {"note": "synthetic"}
+    replayed = materialize(parse_document(failing.counterexample["instance"]))
+    assert instance_digest(document_from(replayed)) == failing.digest == report.digest
+    # an unmet hypothesis passes vacuously, whatever the conclusions say
+    assert check_report("synthetic", s, {}, False, {"holds": False}).passed
 
 
 def test_subspace_engel_in_modes():
@@ -184,3 +180,31 @@ def test_subspace_engel_in_modes():
     # non-nilpotent operators can still act ad-nilpotently: the identity
     big = lie_closure([Mat.identity(2), E(2, 0, 1)])
     assert subspace_engel_in(big, mat_span([Mat.identity(2)], 2))
+
+
+def test_campaign_checks_return_reports():
+    from gradelie.checks import (
+        check_ampliation,
+        check_cartan_equivalence,
+        check_jordan_chain,
+        check_jordan_volterra,
+        check_triple_volterra,
+    )
+    from gradelie.generators import gen_jordan_pair, gen_lie_algebra, gen_nilpotent_jordan
+
+    triple = gen_nilpotent_triple(3, 5)
+    jordan = gen_nilpotent_jordan(3, 5)
+    pair = gen_jordan_pair(3, 5)
+    reports = [
+        (check_cartan_equivalence(gen_lie_algebra(3, 5)), "lie"),
+        (check_triple_volterra(triple), "triple"),
+        (check_jordan_volterra(jordan), "jordan"),
+        (check_jordan_chain(pair), "jordan"),
+        (check_ampliation(gen_weight_graded(3, [2, 2], 5)), "subgraded"),
+    ]
+    for report, structure in reports:
+        assert report.hypothesis_met and report.passed, report.check
+        assert report.counterexample is None
+        assert report.document.structure == structure
+    assert reports[1][0].digest == instance_digest(document_from(triple, "triple"))
+    assert reports[3][0].document == document_from(pair[0], "jordan")

@@ -1,13 +1,20 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gradelie
 from gradelie.cli import main
+from gradelie.documents import document_from, instance_digest, materialize, parse_document
 
 
 def run_cli(*argv, capsys=None):
@@ -264,3 +271,169 @@ def test_lie_analyze_keeps_the_witness_search(capsys, tmp_path):
         "irreducible": False,
         "assoc_closure_dim": 2,
     }
+
+
+def test_fuzz_out_of_range_values_are_input_errors(capsys):
+    # the table rows and the search mode check their parameters the same way
+    for lemma in ("cartan", "three-product-search"):
+        for flag, value in (("--dim-max", "1"), ("--dim-max", "0"), ("--trials", "-3")):
+            assert main(["fuzz", "--lemma", lemma, flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: {flag}: ")
+
+
+# sha256 of `fuzz --lemma NAME --trials 30 --seed 3 --report json`: campaign
+# reports are byte-stable, so any change to these outputs is a finding
+FUZZ_JSON_SHA256 = {
+    "cartan-equivalence": "3688d2d9df921ce94fe217dbd19ac5fe7cf6ca9268482fd4ae4448080f311f4d",
+    "scalar-zero": "9e880b7d66d9bac1bd2e3c86e03690d0e2d3ec39bc0adec510df811c4fc643a9",
+    "scalar-zero-engel": "1a38dc6f0e098e9e31d3df189e090a2a7832cd64d63411497fc67561714e50dc",
+    "engel-components": "d557ae300fb20c1e717ce3abc6fbdda78bbf4f0273f429b49526fdb2b3c13740",
+    "engel-commutators": "df5736bac8a971b299bed057d8482df949a15ccb88a04a57cf37ddadc15cf71a",
+    "engel-pairings": "ca899baff936fa20c49acdb21450a3038a8784bc708a0597912afd1ff782daae",
+    "odd-engel": "502e81aeb58a274bf7c9b838b18dd5e81b4c78aacd41601744a12b0d6940d799",
+    "nilpotent-sum": "7c5efbe56e56c97138b75303f8058f4f1d19caa1f4e891065f52cc73da872eca",
+    "engel-sum": "e17253daea145d893eda1d6cf9233169336103df887f77812d59ca337b46e628",
+    "triple-volterra": "39bfa5c8ce3706a7191bfaff7d757eef0b75999cd85aa5d7c1cace27ce5c699e",
+    "jordan-volterra": "1931ffd3d7b70f303ecd5ad98aa6ea92fbccae428567e3a51b05b401ba6e68e8",
+    "jordan-chain": "254c0ac0599ae1fae33f9a651d490cc90c4cf5ef636adb331793772ed9c2a39b",
+    "ampliation": "43ea18f3f4b892cb369edcbe3707cff97a048aa96d6d0c15653b73c623693dec",
+    "three-product-search": "317f7811f1c036dd5e42273498a8e2ed5b358631ec1239371bdce0244457ba55",
+}
+
+
+def test_fuzz_json_is_byte_stable(capsys):
+    from gradelie.campaigns import CAMPAIGNS
+
+    assert sorted(FUZZ_JSON_SHA256) == sorted(CAMPAIGNS)
+    for name, want in FUZZ_JSON_SHA256.items():
+        argv = ["fuzz", "--lemma", name, "--trials", "30", "--seed", "3", "--report", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, name
+
+
+def test_ampliation_violation_is_a_replayable_counterexample(capsys, monkeypatch):
+    from gradelie import grading
+
+    # solvable exactly when the ambient dimension exceeds 3: every ampliation
+    # of an algebra in gl(2) or gl(3) then breaks the transfer down
+    monkeypatch.setattr(grading, "is_solvable", lambda algebra: algebra.ambient_dim > 3)
+    argv = ["fuzz", "--lemma", "ampliation", "--trials", "3", "--dim-max", "3", "--report", "json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and len(report["failures"]) == 3
+    for t, failure in enumerate(report["failures"]):
+        assert failure["conclusions"] == {"direct": True, "transfer_ok": False}
+        assert failure["counterexample"]["detail"] == {"trial": t}
+        replayed = materialize(parse_document(failure["counterexample"]["instance"]))
+        assert instance_digest(document_from(replayed)) == failure["instance"]
+
+
+
+def test_failed_ampliation_is_a_counterexample(capsys, monkeypatch):
+    from gradelie import grading
+
+    verify = grading.verify_subgrading
+
+    def nondirect_above_gl3(algebra, group, components):
+        s = verify(algebra, group, components)
+        object.__setattr__(s, "is_direct", s.is_direct and algebra.ambient_dim <= 3)
+        return s
+
+    monkeypatch.setattr(grading, "verify_subgrading", nondirect_above_gl3)
+    argv = ["fuzz", "--lemma", "ampliation", "--trials", "2", "--dim-max", "3", "--report", "json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [f["conclusions"] for f in report["failures"]] == [{"ampliation_verified": False}] * 2
+    detail = report["failures"][0]["counterexample"]["detail"]
+    assert detail == {"trial": 0, "error": "ampliation failed to be direct"}
+
+BIG = str(10**400)
+# entries beyond the double range: the float guesses are skipped, the verdicts stay exact
+OVERFLOW_2X2 = {"ambient_dim": 2, "structure": "lie", "generators": [[["1", BIG], ["0", "2"]]]}
+OVERFLOW_3X3 = {
+    "ambient_dim": 3,
+    "structure": "lie",
+    "generators": [[["2", "1", "0"], ["0", BIG, "1"], ["1", "0", "3"]]],
+}
+
+
+def _report(capsys, tmp_path, doc, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--input", str(path), "--report", "json"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, json.loads(captured.out)
+
+
+def test_entries_beyond_the_double_range_end_in_reports(capsys, tmp_path):
+    code, report = _report(capsys, tmp_path, OVERFLOW_2X2, "triangularize")
+    assert code == 0 and report["verified"] is True and report["chain_dims"] == [1]
+    code, report = _report(capsys, tmp_path, OVERFLOW_3X3, "triangularize")
+    assert code == 1 and report["certificate"] is None
+    assert report["error"] == "no eigenvalue of the splitting element rationalizes to Q(i)"
+    for command in ("analyze", "irreducible"):
+        code, report = _report(capsys, tmp_path, OVERFLOW_3X3, command)
+        assert code == 1 and report["irreducible"] is False
+        assert report["error"].startswith("witness search exhausted")
+
+
+_ENTRY = st.sampled_from(["0", "1", "-1", "2", "1/2", "i", "-i", "1+i", "-3/2i"])
+
+
+@st.composite
+def small_documents(draw):
+    n = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    mats = st.lists(matrix, min_size=1, max_size=2)
+    structure = draw(st.sampled_from(["lie", "subgraded", "triple", "jordan"]))
+    if structure != "subgraded":
+        return {"ambient_dim": n, "structure": structure, "generators": draw(mats)}
+    moduli = draw(st.sampled_from([[2], [3], [2, 2]]))
+    degrees = [",".join(map(str, g)) for g in itertools.product(*(range(m) for m in moduli))]
+    components = draw(st.dictionaries(st.sampled_from(degrees), mats, min_size=1, max_size=3))
+    return {
+        "ambient_dim": n,
+        "structure": "subgraded",
+        "group": {"moduli": moduli},
+        "components": components,
+    }
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2
+            return 2
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@given(small_documents(), st.sampled_from(["json", "text"]))
+@example(OVERFLOW_2X2, "json")
+@example(OVERFLOW_3X3, "json")
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_documents_always_end_in_an_exit_code(doc, report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("analyze", "grade-check", "triangularize", "irreducible"):
+            code = _exit_code([command, "--input", path, "--report", report])
+            assert code in (0, 1, 2), (command, code)
+
+
+_COUNT = st.one_of(st.integers(-10**6, 3), st.sampled_from(["", "x", "1.5"]))
+
+
+@given(st.sampled_from(["cartan", "ampliation", "three-product-search"]), _COUNT, _COUNT)
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_fuzz_parameters_always_end_in_an_exit_code(lemma, trials, dim_max):
+    argv = ["fuzz", "--lemma", lemma, "--trials", str(trials), "--dim-max", str(dim_max)]
+    assert _exit_code(argv) in (0, 1, 2)

@@ -1,13 +1,9 @@
 import itertools
 
-import pytest
-
 from gradelie.matrices import Mat
 from gradelie.groups import (
     FinAbGroup,
-    diagonalize_relations,
     noncyclic_pairs,
-    quotient_group,
     regular_rep,
 )
 
@@ -63,30 +59,3 @@ def test_regular_rep():
     rep = regular_rep(g)
     for a, b in itertools.product(g.elements(), repeat=2):
         assert rep[g.add(a, b)] == rep[a] @ rep[b]
-
-
-def test_quotients():
-    k4 = FinAbGroup([2, 2])
-    q, proj = quotient_group(k4, [(0, 1)])
-    assert q.moduli == (2,)
-    assert proj[(0, 0)] == proj[(0, 1)]
-    assert proj[(1, 0)] == proj[(1, 1)]
-    assert proj[(0, 0)] != proj[(1, 0)]
-    whole, projw = quotient_group(k4, [(0, 1), (1, 0)])
-    assert whole.order == 1
-    big = FinAbGroup([4, 6])
-    qb, projb = quotient_group(big, [(2, 3)])
-    sub = big.subgroup([(2, 3)])
-    assert qb.order == big.order // len(sub)
-    for a in big.elements():
-        for b in big.elements():
-            assert projb[big.add(a, b)] == qb.add(projb[a], projb[b])
-    with pytest.raises(ValueError):
-        quotient_group(k4, [(0, 5)])
-
-
-def test_diagonalize_relations():
-    d, v = diagonalize_relations([[2, 0], [0, 2], [1, 1]])
-    assert sorted(d) == [1, 2]
-    with pytest.raises(ValueError):
-        diagonalize_relations([[1, 1]])

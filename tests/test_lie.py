@@ -13,19 +13,15 @@ from gradelie.lie import (
     PreconditionError,
     ad_matrix,
     cartan_test,
-    center,
     derived_series,
-    engel_sum_check,
     is_engel_element,
     is_ideal,
     is_nil_subspace,
     is_nilpotent_lie,
     is_scalar_set,
     is_solvable,
-    killing_form,
     lie_closure,
     lower_central_series,
-    trace_orthogonal_ideal,
 )
 
 E = Mat.unit
@@ -118,21 +114,6 @@ def test_solvability_wrappers():
     assert not is_solvable(sl2) and not is_nilpotent_lie(sl2)
 
 
-def test_killing_form():
-    ab = lie_closure([Mat.from_rows([[1, 0], [0, 2]]), Mat.identity(2)])
-    kg = killing_form(ab)
-    assert kg.gram.is_zero()
-    _, _, _, sl2 = weight_sl2()
-    kg2 = killing_form(sl2).gram
-    assert kg2 == kg2.transpose()
-    det = (
-        kg2.entry(0, 0) * (kg2.entry(1, 1) * kg2.entry(2, 2) - kg2.entry(1, 2) * kg2.entry(2, 1))
-        - kg2.entry(0, 1) * (kg2.entry(1, 0) * kg2.entry(2, 2) - kg2.entry(1, 2) * kg2.entry(2, 0))
-        + kg2.entry(0, 2) * (kg2.entry(1, 0) * kg2.entry(2, 1) - kg2.entry(1, 1) * kg2.entry(2, 0))
-    )
-    assert not det.is_zero()  # nondegenerate Killing form: semisimple
-
-
 def test_cartan_test_examples():
     ab = lie_closure([Mat.identity(2)])
     assert cartan_test(ab)
@@ -212,21 +193,9 @@ def test_nil_subspace_matches_grid_oracle():
         assert is_nil_subspace(span, n) == grid_ok
 
 
-def test_trace_orthogonal_ideal():
-    heis = heisenberg()
-    assert trace_orthogonal_ideal(heis) == heis.span
-    _, _, _, sl2 = weight_sl2()
-    assert trace_orthogonal_ideal(sl2).dim == 0
-    com = lie_closure([E(3, 0, 2), E(3, 1, 2)])
-    ideal = trace_orthogonal_ideal(com)
-    assert ideal == com.span
-    assert is_ideal(com, ideal)
-
-
 def test_ideal_center_scalar():
     heis = heisenberg()
     assert is_ideal(heis, heis.span)
-    assert center(heis) == mat_span([E(3, 0, 2)])
     assert is_scalar_set(mat_span([Mat.identity(3)]))
     assert not is_scalar_set(mat_span([Mat.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 1]])]))
     assert is_scalar_set(mat_span([Mat.zeros(2), Mat.identity(2)]))
@@ -245,17 +214,6 @@ def test_jacobi_identity():
         a, b, c = mats
         jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
         assert jacobi.is_zero()
-
-
-def test_engel_sum_check():
-    heis = heisenberg()
-    assert engel_sum_check(heis, Mat.zeros(3), Mat.zeros(3))
-    assert engel_sum_check(heis, E(3, 0, 1), E(3, 1, 2))
-    _, _, _, sl2 = weight_sl2()
-    with pytest.raises(PreconditionError):
-        engel_sum_check(sl2, E(2, 0, 1), E(2, 1, 0))
-    with pytest.raises(PreconditionError):
-        engel_sum_check(heis, Mat.identity(3), E(3, 0, 1))
 
 
 def test_solvable_derived_is_nil():

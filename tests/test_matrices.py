@@ -7,16 +7,12 @@ import pytest
 from gradelie.scalars import GaussianRational, Q
 from gradelie.matrices import (
     Mat,
-    NumMat,
     ShapeError,
     bracket,
-    flatten,
     is_nilpotent_exact,
     jordan_product,
     to_numeric,
     trace_product,
-    triple_product,
-    unflatten,
 )
 
 
@@ -135,16 +131,6 @@ def test_nilpotency_matches_char_poly_oracle():
         assert is_nilpotent_exact(a) == oracle
 
 
-def test_flatten_unflatten():
-    a, b, c = pauli()
-    assert flatten(Mat.identity(2)) == (Q(1), Q(0), Q(0), Q(1))
-    assert flatten(c) == (Q(0, -1), Q(0), Q(0), Q(0, 1))
-    for m in (a, b, c):
-        assert unflatten(flatten(m), 2) == m
-    with pytest.raises(ShapeError):
-        unflatten((Q(1),) * 3, 2)
-
-
 def test_jordan_and_triple_products():
     e = Mat.unit(2, 0, 1)
     f = Mat.unit(2, 1, 0)
@@ -158,7 +144,7 @@ def test_jordan_and_triple_products():
             for _ in range(3)
         ]
         a, b, c = mats
-        lhs = triple_product(a, b, c)
+        lhs = bracket(a, bracket(b, c))
         rhs = jordan_product(jordan_product(a, b), c) - jordan_product(
             jordan_product(a, c), b
         )
@@ -168,22 +154,15 @@ def test_jordan_and_triple_products():
 def test_to_numeric():
     m = Mat.from_rows([[Fraction(1, 3), Q(Fraction(1, 2), Fraction(1, 2))], [0, 1]])
     nm = to_numeric(m)
-    assert nm.array[0, 0] == pytest.approx(1 / 3)
-    assert nm.array[0, 1] == pytest.approx(0.5 + 0.5j)
-    assert to_numeric(Mat.zeros(2)).array.sum() == 0
+    assert nm[0, 0] == pytest.approx(1 / 3)
+    assert nm[0, 1] == pytest.approx(0.5 + 0.5j)
+    assert to_numeric(Mat.zeros(2)).sum() == 0
 
 
 def test_to_numeric_overflow_surfaces():
     huge = Mat.from_int_rows([[10**400]])
     with pytest.raises(OverflowError):
         to_numeric(huge)
-
-
-def test_nummat_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        NumMat([[float("nan"), 0], [0, 0]])
-    with pytest.raises(ValueError):
-        NumMat([[float("inf"), 0], [0, 0]])
 
 
 def test_trace_product_matches_full_product():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gradelie.scalars import GaussianRational
-from gradelie.matrices import Mat, bracket, jordan_product, triple_product
+from gradelie.matrices import Mat, bracket, jordan_product
 from gradelie.subspaces import canonicalize, subspace_intersect, subspace_sum
 from gradelie.groups import FinAbGroup, noncyclic_pairs
 from gradelie.lie import is_solvable, lie_closure
@@ -53,7 +53,7 @@ def test_jacobi(mats):
 @settings(max_examples=60, deadline=None)
 def test_triple_product_from_jordan_products(mats):
     a, b, c = mats
-    lhs = triple_product(a, b, c)
+    lhs = bracket(a, bracket(b, c))
     rhs = jordan_product(jordan_product(a, b), c) - jordan_product(
         jordan_product(a, c), b
     )
