@@ -24,6 +24,7 @@ from .generators import (
     gen_nilpotent_jordan,
     gen_nilpotent_triple,
     gen_solvable,
+    gen_solvable_zero_graded,
     gen_weight_graded,
 )
 from .examples import build_example
@@ -40,6 +41,7 @@ from .checks import (
     check_jordan_chain,
     check_jordan_volterra,
     check_nilpotent_sum_closed,
+    check_nonabelian_solvable_zero_reducible,
     check_odd_engel_solvable,
     check_report,
     check_scalar_zero_solvable,
@@ -159,9 +161,9 @@ _CYCLIC_MODULI = ([2], [3], [4], [5])
 _MIXED_MODULI = ([2], [3], [4], [5], [2, 2], [2, 4], [3, 3])
 
 
-def _graded(cycle) -> Callable[[int, int, int], object]:
-    """Weight-graded instances whose group runs through the moduli cycle."""
-    return lambda n, t, subseed: gen_weight_graded(n, cycle[t % len(cycle)], subseed)
+def _graded(cycle, gen=gen_weight_graded) -> Callable[[int, int, int], object]:
+    """Graded instances of ``gen`` whose group runs through the moduli cycle."""
+    return lambda n, t, subseed: gen(n, cycle[t % len(cycle)], subseed)
 
 
 def _plain(gen) -> Callable[[int, int, int], object]:
@@ -236,6 +238,10 @@ CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignResult]] = {
         Campaign("jordan-volterra", _plain(gen_nilpotent_jordan), check_jordan_volterra),
         Campaign("jordan-chain", _plain(gen_jordan_pair), check_jordan_chain),
         Campaign("ampliation", _graded(_MIXED_MODULI), check_ampliation),
+        Campaign(
+            "nonabelian-zero", _graded(_MIXED_MODULI, gen_solvable_zero_graded),
+            check_nonabelian_solvable_zero_reducible, _PAULI_E1,
+        ),
     )
 }
 CAMPAIGNS["three-product-search"] = _three_product_search

@@ -1,6 +1,6 @@
 """Executable theorem checks.
 
-Each check decides its hypothesis exactly (nil-subspace polarization, exact
+Each check decides its hypothesis exactly (the nil-subspace decision, exact
 scalar tests), asserts the conclusion with the package's structural
 machinery, and returns a report from ``check_report``.  A hypothesis-unmet
 instance passes vacuously but says so.  A failing report carries a
@@ -118,8 +118,11 @@ def subspace_engel_in(algebra: LieAlgebra, sub: Subspace) -> bool:
     """Exact decision: does every element of the subspace act ad-nilpotently?
 
     Fast path: a subspace of nilpotent operators always acts ad-nilpotently.
-    Otherwise single elements are screened first and the polarization test
-    runs on the adjoint image.
+    Otherwise single elements are screened first and the nil-subspace
+    decision runs on the adjoint image.  Both nil decisions go through the
+    three exact stages of ``is_nil_subspace``: a seeded combination that is
+    not nilpotent refutes (an exact certificate, not a sample), a vanishing
+    product chain proves, and the polarized trace expansion decides the rest.
     """
     n = algebra.ambient_dim
     if sub.dim == 0:
@@ -182,23 +185,27 @@ def check_graded_cartan(s: SubgradedAlgebra) -> CheckReport:
     forces reducibility."""
     n = s.algebra.ambient_dim
     scalar0 = is_scalar_set(_zero_component(s), n)
-    witnesses = []
+    witness_degree = None
     if s.is_direct and scalar0 and n > 1:
-        for degree in s.support:
-            for cand in _candidate_homogeneous(s, degree):
-                if cand.is_scalar():
-                    continue
-                if is_engel_element(s.algebra, cand):
-                    witnesses.append((degree, cand))
+        witness_degree = next(
+            (
+                degree
+                for degree in s.support
+                for cand in _candidate_homogeneous(s, degree)
+                if not cand.is_scalar() and is_engel_element(s.algebra, cand)
+            ),
+            None,
+        )
+    found = witness_degree is not None
     hypothesis = {
         "graded": s.is_direct,
         "zero_component_scalar": scalar0,
-        "nonscalar_engel_homogeneous_found": bool(witnesses),
+        "nonscalar_engel_homogeneous_found": found,
         "scanned_grid": "component bases and {-1,0,1} combinations",
     }
-    met = s.is_direct and scalar0 and bool(witnesses)
+    met = s.is_direct and scalar0 and found
     conclusions = {"reducible": _reducible(s)} if met else {}
-    detail = {"failed": "reducible", "witness_degree": list(witnesses[0][0])} if met else None
+    detail = {"failed": "reducible", "witness_degree": list(witness_degree)} if met else None
     return check_report("scalar-zero-engel-reducible", s, hypothesis, met, conclusions, detail)
 
 

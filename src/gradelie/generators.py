@@ -25,6 +25,7 @@ __all__ = [
     "gen_lie_algebra",
     "gen_solvable",
     "gen_weight_graded",
+    "gen_solvable_zero_graded",
     "gen_nilpotent_triple",
     "gen_nilpotent_jordan",
     "gen_jordan_pair",
@@ -127,6 +128,14 @@ def gen_weight_graded(n: int, moduli: Sequence[int], seed: int) -> SubgradedAlge
             i, j = classes[key][rng.randrange(len(classes[key]))]
             grid[i][j] = 1
         gens.append(Mat.from_int_rows(grid))
+    return _weight_graded_closure(gens, group, degree, n)
+
+
+def _weight_graded_closure(
+    gens: list[Mat], group: FinAbGroup, degree: dict, n: int
+) -> SubgradedAlgebra:
+    """The closure of generators homogeneous for E_ij -> degree[(i, j)], with
+    its components cut out coordinate class by coordinate class."""
     algebra = lie_closure(gens, ambient_dim=n)
     coord_classes: dict[GroupElem, list[Mat]] = {}
     for i in range(n):
@@ -138,6 +147,41 @@ def gen_weight_graded(n: int, moduli: Sequence[int], seed: int) -> SubgradedAlge
         if piece.dim:
             components[deg] = piece
     return verify_subgrading(algebra, group, components)
+
+
+def gen_solvable_zero_graded(n: int, moduli: Sequence[int], seed: int) -> SubgradedAlgebra:
+    """A weight-graded algebra whose zero component is seeded solvable and
+    non-commutative.
+
+    The first two indices share a weight.  A diagonal generator and a
+    strictly upper triangular one on the degree-zero positions usually fail
+    to commute; one or two unit matrices E_ij of nonzero degree follow.  The
+    closure may still enlarge the zero component beyond solvability.
+    """
+    if n < 2:
+        raise ValueError("a non-commutative zero component needs n >= 2")
+    group = FinAbGroup(moduli)
+    rng = random.Random(("solvable-zero", n, tuple(moduli), seed).__repr__())
+    weights = [tuple(rng.randrange(m) for m in group.moduli) for _ in range(n)]
+    weights[1] = weights[0]
+    degree = {
+        (i, j): group.add(weights[i], group.neg(weights[j])) for i in range(n) for j in range(n)
+    }
+
+    def homogeneous(keep) -> Mat:
+        return Mat.from_int_rows(
+            [[rng.randint(-2, 2) if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+        )
+
+    zero = group.zero()
+    gens = [
+        homogeneous(lambda i, j: i == j),
+        homogeneous(lambda i, j: i < j and degree[(i, j)] == zero),
+    ]
+    off_zero = [pos for pos, deg in degree.items() if deg != zero]
+    for _ in range(rng.randint(1, 2) if off_zero else 0):
+        gens.append(Mat.unit(n, *rng.choice(off_zero)))
+    return _weight_graded_closure(gens, group, degree, n)
 
 
 def _close_under(

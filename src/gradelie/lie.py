@@ -2,12 +2,16 @@
 
 Everything here is exact: closures and series are fixpoints of bracketing
 plus re-canonicalization, solvability runs through the derived series, and
-quantified hypotheses ("every element of this subspace is nilpotent") are
-decided by polynomial identities rather than sampling.
+the quantified hypothesis "every element of this subspace is nilpotent" is
+decided by three exact stages: a seeded integer combination that is not
+nilpotent refutes it (an exact certificate, not a sample), a product chain
+V, V V, V V V, ... that vanishes proves it, and the polarized trace
+identities decide what neither settles.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,11 +195,29 @@ def is_engel_element(algebra: LieAlgebra, a: Mat) -> bool:
 
 # -- nil-subspace decision --------------------------------------------------
 #
-# A subspace V = span{A_1..A_d} of m x m matrices consists of nilpotents iff
-# tr((l_1 A_1 + ... + l_d A_d)^k) vanishes identically for k = 1..m.  The
-# monomial coefficients of these traces are the symmetrized sums of traces of
-# products over all orderings of each multiset of basis elements; they are
-# extracted here by exact homogeneous polynomial arithmetic.
+# V = span{A_1..A_d} of m x m matrices is nil when every element is
+# nilpotent.  Three exact stages decide it, cheapest first:
+#
+# (a) Refute.  Each basis matrix, then two integer combinations whose
+#     coefficients come from a fixed-seed local generator, go through
+#     is_nilpotent_exact.  A combination that is not nilpotent is an exact
+#     certificate for False; the seed only picks which elements are tried,
+#     so this is not sampling: no verdict rests on a combination passing.
+# (b) Prove.  W_1 = V and W_{j+1} = span(V W_j).  If some W_j = 0 with
+#     j <= m, every product of m elements of V vanishes, so V lies in a
+#     nilpotent associative algebra and is nil.  The chain is the
+#     certificate.  It cannot vanish when V is not simultaneously strictly
+#     triangularizable, and some nil spaces are not (Gerstenhaber 1958;
+#     Mathes, Omladic and Radjavi 1991).
+# (c) Fall back.  V is nil iff tr((l_1 A_1 + ... + l_d A_d)^k) vanishes
+#     identically for k = 1..m.  The monomial coefficients of these traces are
+#     the symmetrized sums of traces of products over all orderings of each
+#     multiset of basis elements; they are extracted by exact homogeneous
+#     polynomial arithmetic.
+
+_REFUTE_SEED = 915
+_REFUTE_TRIES = 2
+_REFUTE_COEFF = 99
 
 _Poly = dict  # exponent tuple -> (re, im) Gaussian integer pair
 
@@ -224,35 +246,43 @@ def _integer_grids(mats: Sequence[Mat]) -> list[tuple[tuple[int, ...], tuple[int
     return [(m.re, m.im) for m in mats]
 
 
-def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
-    """True iff every element of the subspace is nilpotent, decided exactly.
+def _refuted_by_combinations(mats: Sequence[Mat], m_side: int) -> bool:
+    """Stage (a): True when a seeded integer combination is not nilpotent."""
+    rng = random.Random(_REFUTE_SEED)
+    grids = _integer_grids(mats)
+    size = m_side * m_side
+    for _ in range(_REFUTE_TRIES):
+        re = [0] * size
+        im = [0] * size
+        for gre, gim in grids:
+            c = rng.randint(-_REFUTE_COEFF, _REFUTE_COEFF)
+            if c:
+                for k in range(size):
+                    re[k] += c * gre[k]
+                    im[k] += c * gim[k]
+        if not is_nilpotent_exact(Mat._normalized(m_side, m_side, re, im, 1)):
+            return True
+    return False
 
-    Accepts a Subspace of flattened gl(m) or a sequence of m x m matrices
-    (used as a spanning set).
-    """
-    if isinstance(v, Subspace):
-        if v.is_zero():
+
+def _nil_by_products(mats: Sequence[Mat], m_side: int) -> bool:
+    """Stage (b): True when span(V W_j) reaches 0 within m_side steps."""
+    level = list(mats)
+    for _ in range(m_side - 1):
+        ech = _Echelon(m_side * m_side)
+        for a in mats:
+            for w in level:
+                ech.add(a @ w)
+        nxt = ech.subspace()
+        if nxt.is_zero():
             return True
-        m_side = ambient_side
-        if m_side is None:
-            m_side = int(round(v.ambient_dim ** 0.5))
-            if m_side * m_side != v.ambient_dim:
-                raise ShapeError("subspace ambient is not a flattened square")
-        mats = span_basis_mats(v, m_side)
-    else:
-        mats = [m for m in v if not m.is_zero()]
-        if not mats:
-            return True
-        mats = span_basis_mats(mat_span(mats), mats[0].n_rows)
-    if not mats:
-        return True
-    m_side = mats[0].n_rows
-    for m in mats:
-        if not is_nilpotent_exact(m):
-            return False
+        level = span_basis_mats(nxt, m_side)
+    return False
+
+
+def _nil_by_traces(mats: Sequence[Mat], m_side: int) -> bool:
+    """Stage (c): the polarized trace identities, decided exactly."""
     d = len(mats)
-    if d == 1:
-        return True
     grids = _integer_grids(mats)
     # X[i][j] is a linear form in the coefficients
     x: list[list[_Poly]] = [[{} for _ in range(m_side)] for _ in range(m_side)]
@@ -288,6 +318,42 @@ def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
         if trace_poly:
             return False
     return True
+
+
+def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
+    """True iff every element of the subspace is nilpotent, decided exactly.
+
+    Accepts a Subspace of flattened gl(m) or a sequence of m x m matrices
+    (used as a spanning set).  The three stages above run in order: a
+    non-nilpotent basis matrix or seeded combination refutes, a vanishing
+    product chain proves, and the trace expansion decides what is left.
+    """
+    if isinstance(v, Subspace):
+        if v.is_zero():
+            return True
+        m_side = ambient_side
+        if m_side is None:
+            m_side = int(round(v.ambient_dim ** 0.5))
+            if m_side * m_side != v.ambient_dim:
+                raise ShapeError("subspace ambient is not a flattened square")
+        mats = span_basis_mats(v, m_side)
+    else:
+        mats = [m for m in v if not m.is_zero()]
+        if not mats:
+            return True
+        mats = span_basis_mats(mat_span(mats), mats[0].n_rows)
+    if not mats:
+        return True
+    m_side = mats[0].n_rows
+    if not all(is_nilpotent_exact(m) for m in mats):
+        return False
+    if len(mats) == 1:
+        return True
+    if _refuted_by_combinations(mats, m_side):
+        return False
+    if _nil_by_products(mats, m_side):
+        return True
+    return _nil_by_traces(mats, m_side)
 
 
 def is_ideal(algebra: LieAlgebra, candidate: Subspace) -> bool:

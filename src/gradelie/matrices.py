@@ -3,7 +3,9 @@
 Mat stores one grid of Gaussian-integer numerators (row-major tuples for the
 real and imaginary parts) plus a single positive denominator, gcd-reduced so
 equality is structural.  Multiplication runs through a guarded numpy int64
-path when magnitude bounds prove it exact, with a big-int fallback otherwise.
+path when magnitude bounds prove it exact, with a big-int fallback otherwise;
+on the int64 path, operands with zero imaginary grids skip the products that
+would only multiply zeros.
 """
 
 from __future__ import annotations
@@ -156,6 +158,9 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
 
+    def is_real(self) -> bool:
+        return not any(self.im)
+
     def is_scalar(self) -> bool:
         """True iff this square matrix is a scalar multiple of the identity."""
         if not self.is_square():
@@ -239,11 +244,14 @@ class Mat:
         if bound < _INT64_SAFE:
             ar, ai = self._arrays()
             br, bi = other._arrays()
-            cr = ar @ br - ai @ bi
-            ci = ar @ bi + ai @ br
+            if self.is_real() and other.is_real():
+                cr = ar @ br
+                ci_list = [0] * (self.n_rows * other.n_cols)
+            else:
+                cr = ar @ br - ai @ bi
+                ci_list = (ar @ bi + ai @ br).ravel().tolist()
             return Mat._normalized(
-                self.n_rows, other.n_cols,
-                cr.ravel().tolist(), ci.ravel().tolist(), self.den * other.den,
+                self.n_rows, other.n_cols, cr.ravel().tolist(), ci_list, self.den * other.den
             )
         n, m = self.n_rows, other.n_cols
         a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
@@ -352,9 +360,13 @@ def _ab_plus_sign_ba(a: Mat, b: Mat, sign: int) -> Mat:
     if 4 * n * max(a.max_abs_num(), 1) * max(b.max_abs_num(), 1) < 2**63:
         ar, ai = a._arrays()
         br, bi = b._arrays()
-        cr = (ar @ br - ai @ bi) + sign * (br @ ar - bi @ ai)
-        ci = (ar @ bi + ai @ br) + sign * (br @ ai + bi @ ar)
-        return Mat._normalized(n, n, cr.ravel().tolist(), ci.ravel().tolist(), a.den * b.den)
+        if a.is_real() and b.is_real():
+            cr = ar @ br + sign * (br @ ar)
+            ci_list = [0] * (n * n)
+        else:
+            cr = (ar @ br - ai @ bi) + sign * (br @ ar - bi @ ai)
+            ci_list = ((ar @ bi + ai @ br) + sign * (br @ ai + bi @ ar)).ravel().tolist()
+        return Mat._normalized(n, n, cr.ravel().tolist(), ci_list, a.den * b.den)
     return a @ b - b @ a if sign < 0 else a @ b + b @ a
 
 

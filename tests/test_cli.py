@@ -300,6 +300,7 @@ FUZZ_JSON_SHA256 = {
     "jordan-chain": "254c0ac0599ae1fae33f9a651d490cc90c4cf5ef636adb331793772ed9c2a39b",
     "ampliation": "43ea18f3f4b892cb369edcbe3707cff97a048aa96d6d0c15653b73c623693dec",
     "three-product-search": "317f7811f1c036dd5e42273498a8e2ed5b358631ec1239371bdce0244457ba55",
+    "nonabelian-zero": "4879aa50ac3e4235fb5999eee7cc4aa5521715e411ad46e3cf27a2512461e08f",
 }
 
 

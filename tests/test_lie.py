@@ -227,3 +227,170 @@ def test_solvable_derived_is_nil():
         assert is_solvable(algebra)
         derived = derived_subalgebra_mats(algebra)
         assert is_nil_subspace(derived or [], )
+
+
+# -- the staged nil-subspace decision ----------------------------------------
+
+E2 = (
+    Mat.from_rows([[0, 1, 0], [0, 0, -1], [0, 0, 0]]),
+    Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+)
+
+
+def _int_grid(rng, n, keep, values):
+    return Mat.from_int_rows(
+        [[rng.choice(values) if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def _conjugated_strict_uppers(rng, n, d, dense):
+    """d spanning matrices g U g^-1, U strictly upper, g = L U' unimodular."""
+    from gradelie.subspaces import mat_inverse
+
+    steps = (-1, 1) if dense else (1,)
+    g = (_int_grid(rng, n, lambda i, j: i > j, steps) + Mat.identity(n)) @ (
+        _int_grid(rng, n, lambda i, j: i < j, steps) + Mat.identity(n)
+    )
+    gi = mat_inverse(g)
+    mats = []
+    while len(mats) < d:
+        u = _int_grid(rng, n, lambda i, j: j > i, range(-2, 3))
+        if not u.is_zero():
+            mats.append(g @ u @ gi)
+    return mats
+
+
+def _cycle_refutation(rng, n, c, extra):
+    """Scaled units along a c-cycle plus extra off-diagonal units: each is
+    nilpotent, the cycle permutation in their span is not."""
+    cycle = rng.sample(range(n), c)
+    edges = [(cycle[k], cycle[(k + 1) % c]) for k in range(c)]
+    pool = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in edges]
+    units = edges + rng.sample(pool, min(extra, len(pool)))
+    return [E(n, i, j).scale(rng.choice((-3, -2, 2, 3))) for i, j in units]
+
+
+def _gaussian_strict_uppers(rng, n, d):
+    from gradelie.subspaces import mat_inverse
+
+    def entry():
+        re = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        return Q(re, Fraction(rng.randint(-2, 2), rng.choice((1, 5))))
+
+    while True:
+        g = Mat.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+        try:
+            gi = mat_inverse(g)
+            break
+        except ValueError:
+            continue
+    return [
+        g @ Mat.from_rows([[entry() if j > i else Q(0) for j in range(n)] for i in range(n)]) @ gi
+        for _ in range(d)
+    ]
+
+
+def _counting(monkeypatch, name):
+    import gradelie.lie as lie_mod
+
+    calls = []
+    real = getattr(lie_mod, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(lie_mod, name, wrapper)
+    return calls
+
+
+def test_nil_routing_e2_needs_the_trace_expansion(monkeypatch):
+    # span{E12+E23... } is nil but ABAB != 0: no flag, so the product chain never vanishes
+    products = _counting(monkeypatch, "_nil_by_products")
+    traces = _counting(monkeypatch, "_nil_by_traces")
+    assert is_nil_subspace(list(E2))
+    assert products == [False] and traces == [True]
+
+
+def test_nil_routing_dense_n6_proved_by_products(monkeypatch):
+    rng = random.Random(61)
+    mats = _conjugated_strict_uppers(rng, 6, 15, dense=True)
+    span = mat_span(mats, 6)
+    assert span.dim == 15
+    refute = _counting(monkeypatch, "_refuted_by_combinations")
+    products = _counting(monkeypatch, "_nil_by_products")
+    traces = _counting(monkeypatch, "_nil_by_traces")
+    assert is_nil_subspace(span, 6)
+    assert refute == [False] and products == [True] and traces == []
+
+
+def test_nil_routing_cycle_refuted_by_a_combination(monkeypatch):
+    rng = random.Random(62)
+    mats = _cycle_refutation(rng, 5, 4, 4)
+    assert all(is_nilpotent_exact(m) for m in span_basis_mats(mat_span(mats, 5), 5))
+    refute = _counting(monkeypatch, "_refuted_by_combinations")
+    products = _counting(monkeypatch, "_nil_by_products")
+    traces = _counting(monkeypatch, "_nil_by_traces")
+    assert not is_nil_subspace(mats)
+    assert refute == [True] and products == [] and traces == []
+
+
+def _nil_families(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        yield _conjugated_strict_uppers(rng, n, rng.randint(2, 5), dense=rng.random() < 0.5)
+        c = rng.randint(2, n)
+        yield _cycle_refutation(rng, n, c, rng.randint(0, 2))
+        yield _gaussian_strict_uppers(rng, n, rng.randint(2, 3))
+        yield [
+            _int_grid(rng, n, lambda i, j: rng.random() < 0.4, (-1, 0, 1))
+            for _ in range(rng.randint(2, 3))
+        ]
+    yield list(E2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nil_stages_agree_with_trace_expansion(seed):
+    from gradelie.lie import _nil_by_products, _nil_by_traces, _refuted_by_combinations
+
+    verdicts = set()
+    for mats in _nil_families(seed):
+        mats = [m for m in mats if not m.is_zero()]
+        if not mats:
+            continue
+        n = mats[0].n_rows
+        basis = span_basis_mats(mat_span(mats, n), n)
+        want = _nil_by_traces(basis, n)
+        assert is_nil_subspace(mats) == want
+        # each stage is sound on its own, whatever the stages before it decided
+        assert not (_refuted_by_combinations(basis, n) and want)
+        assert not (_nil_by_products(basis, n) and not want)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_nil_decision_matches_sympy_oracle():
+    # V is nil iff (l_1 A_1 + ... + l_d A_d)^n expands to the zero matrix
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m):
+        return sympy.Matrix(
+            m.n_rows, m.n_cols,
+            lambda i, j: sympy.Rational(m.re[i * m.n_cols + j], m.den)
+            + sympy.I * sympy.Rational(m.im[i * m.n_cols + j], m.den),
+        )
+
+    seen = set()
+    for mats in _nil_families(7):
+        mats = [m for m in mats if not m.is_zero()]
+        if not mats:
+            continue
+        n = mats[0].n_rows
+        lams = sympy.symbols(f"l0:{len(mats)}")
+        x = sum((lam * to_sympy(m) for lam, m in zip(lams, mats)), sympy.zeros(n, n))
+        oracle = (x**n).expand() == sympy.zeros(n, n)
+        assert is_nil_subspace(mats) == oracle
+        seen.add(oracle)
+    assert seen == {True, False}

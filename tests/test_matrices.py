@@ -264,3 +264,40 @@ def test_zero_operand_with_entries_beyond_int64():
     zero = Mat.zeros(2)
     assert (huge @ zero).is_zero() and (zero @ huge).is_zero()
     assert bracket(huge, zero).is_zero() and jordan_product(zero, huge).is_zero()
+
+
+def _part_mat(rng, n, top, den_step, kind):
+    # numerators in [-top, top] with top present, over a denominator coprime to top;
+    # "real" and "imag" zero the other grid
+    re = [rng.randint(-top, top) for _ in range(n * n)]
+    im = [rng.randint(-top, top) for _ in range(n * n)]
+    re[0] = im[0] = top
+    if kind == "real":
+        im = [0] * (n * n)
+    elif kind == "imag":
+        re = [0] * (n * n)
+    m = Mat._normalized(n, n, re, im, den_step * top + 1)
+    assert m.max_abs_num() == top
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "kinds", [("real", "real"), ("imag", "imag"), ("real", "imag"), ("mixed", "real")]
+)
+def test_real_only_branch_matches_general_path(n, kinds, monkeypatch):
+    rng = random.Random(f"{n}{kinds}")
+    below = math.isqrt((2**62 - 1) // (2 * n))
+    for top in (3, below, below + 1):
+        a = _part_mat(rng, n, top, 1, kinds[0])
+        b = _part_mat(rng, n, top, 2, kinds[1])
+        assert (2 * n * top * top < 2**62) == (top != below + 1)
+        assert a.is_real() == (kinds[0] == "real") and b.is_real() == (kinds[1] == "real")
+        got = (a @ b, bracket(a, b), jordan_product(a, b))
+        ab, ba = _entrywise_product(a, b), _entrywise_product(b, a)
+        assert got[0] == Mat.from_rows(ab)
+        assert got[1] == Mat.from_rows([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        assert got[2] == Mat.from_rows([[x + y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        with monkeypatch.context() as patch:
+            patch.setattr(Mat, "is_real", lambda self: False)
+            assert (a @ b, bracket(a, b), jordan_product(a, b)) == got
