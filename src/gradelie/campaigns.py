@@ -26,6 +26,7 @@ from .generators import (
     gen_solvable,
     gen_solvable_zero_graded,
     gen_weight_graded,
+    WEIGHT_GRADED_MAX_DIM,
 )
 from .examples import build_example
 from .documents import materialize
@@ -95,11 +96,15 @@ def _subseed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _dims(trials: int, dim_max: int) -> list[int]:
+def _dims(trials: int, dim_max: int, highest: int | None = None) -> list[int]:
     if trials < 0:
         raise CampaignError("trials", f"must be at least 0, got {trials}")
     if dim_max < _LOWEST_DIM:
         raise CampaignError("dim-max", f"must be at least {_LOWEST_DIM}, got {dim_max}")
+    if highest is not None and dim_max > highest:
+        raise CampaignError(
+            "dim-max", f"must be at most {highest} for this campaign, got {dim_max}"
+        )
     return list(range(_LOWEST_DIM, dim_max + 1))
 
 
@@ -127,15 +132,17 @@ def _unmet(example: str) -> Control:
 @dataclass(frozen=True)
 class Campaign:
     """One row of the campaign table: ``make(n, trial, subseed)`` builds the
-    instance of a trial and ``check`` decides it."""
+    instance of a trial and ``check`` decides it; ``highest_dim`` caps
+    ``dim_max`` when the instance generator has a size limit."""
 
     name: str
     make: Callable[[int, int, int], object]
     check: Callable[[object], CheckReport]
     controls: tuple[Control, ...] = ()
+    highest_dim: int | None = None
 
     def __call__(self, trials: int, seed: int, dim_max: int) -> CampaignResult:
-        dims = _dims(trials, dim_max)
+        dims = _dims(trials, dim_max, self.highest_dim)
         result = CampaignResult(self.name, trials)
         for control in self.controls:
             instance = materialize(build_example(control.example))
@@ -166,6 +173,11 @@ def _graded(cycle, gen=gen_weight_graded) -> Callable[[int, int, int], object]:
     return lambda n, t, subseed: gen(n, cycle[t % len(cycle)], subseed)
 
 
+def _weighted(name: str, cycle, check, controls: tuple[Control, ...] = ()) -> Campaign:
+    """A row on gen_weight_graded instances, whose ambient dimension is capped."""
+    return Campaign(name, _graded(cycle), check, controls, WEIGHT_GRADED_MAX_DIM)
+
+
 def _plain(gen) -> Callable[[int, int, int], object]:
     return lambda n, t, subseed: gen(n, subseed)
 
@@ -181,7 +193,7 @@ def _three_product_search(trials: int, seed: int, dim_max: int) -> CampaignResul
     """Search mode: three-component cyclic gradings with a nilpotent odd part
     that generates; verdicts are tallied, nothing is asserted."""
     result = CampaignResult("three-product-search", trials)
-    dims = _dims(trials, dim_max)
+    dims = _dims(trials, dim_max, WEIGHT_GRADED_MAX_DIM)
     irreducible_found = 0
     candidates = 0
     for t in range(trials):
@@ -213,22 +225,15 @@ CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignResult]] = {
     row.name: row
     for row in (
         Campaign("cartan-equivalence", _plain(gen_lie_algebra), check_cartan_equivalence),
-        Campaign("scalar-zero", _graded(_CYCLIC_MODULI), check_scalar_zero_solvable),
+        _weighted("scalar-zero", _CYCLIC_MODULI, check_scalar_zero_solvable),
+        _weighted("scalar-zero-engel", _MIXED_MODULI, check_graded_cartan, (_unmet("pauli"),)),
+        _weighted("engel-components", _MIXED_MODULI, check_engel_components_solvable, _PAULI_E1),
+        _weighted("engel-commutators", _MIXED_MODULI, check_engel_commutators_solvable, _PAULI_E1),
+        _weighted("engel-pairings", _MIXED_MODULI, check_engel_pairings_solvable, _PAULI_E1),
         Campaign(
-            "scalar-zero-engel", _graded(_MIXED_MODULI), check_graded_cartan, (_unmet("pauli"),)
+            "odd-engel", _odd_engel_instance, check_odd_engel_solvable,
+            highest_dim=WEIGHT_GRADED_MAX_DIM,
         ),
-        Campaign(
-            "engel-components", _graded(_MIXED_MODULI), check_engel_components_solvable,
-            _PAULI_E1,
-        ),
-        Campaign(
-            "engel-commutators", _graded(_MIXED_MODULI), check_engel_commutators_solvable,
-            _PAULI_E1,
-        ),
-        Campaign(
-            "engel-pairings", _graded(_MIXED_MODULI), check_engel_pairings_solvable, _PAULI_E1
-        ),
-        Campaign("odd-engel", _odd_engel_instance, check_odd_engel_solvable),
         Campaign(
             "nilpotent-sum", _plain(gen_lie_algebra), check_nilpotent_sum_closed,
             (_SL2_NONCLOSED,),
@@ -237,7 +242,7 @@ CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignResult]] = {
         Campaign("triple-volterra", _plain(gen_nilpotent_triple), check_triple_volterra),
         Campaign("jordan-volterra", _plain(gen_nilpotent_jordan), check_jordan_volterra),
         Campaign("jordan-chain", _plain(gen_jordan_pair), check_jordan_chain),
-        Campaign("ampliation", _graded(_MIXED_MODULI), check_ampliation),
+        _weighted("ampliation", _MIXED_MODULI, check_ampliation),
         Campaign(
             "nonabelian-zero", _graded(_MIXED_MODULI, gen_solvable_zero_graded),
             check_nonabelian_solvable_zero_reducible, _PAULI_E1,

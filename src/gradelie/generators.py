@@ -25,6 +25,7 @@ __all__ = [
     "gen_lie_algebra",
     "gen_solvable",
     "gen_weight_graded",
+    "WEIGHT_GRADED_MAX_DIM",
     "gen_solvable_zero_graded",
     "gen_nilpotent_triple",
     "gen_nilpotent_jordan",
@@ -75,6 +76,10 @@ def gen_solvable(n: int, seed: int) -> LieAlgebra:
     return lie_closure([g @ u @ gi for u in ups], ambient_dim=n)
 
 
+# the largest ambient dimension gen_weight_graded accepts
+WEIGHT_GRADED_MAX_DIM = 6
+
+
 def gen_weight_graded(n: int, moduli: Sequence[int], seed: int) -> SubgradedAlgebra:
     """A genuinely graded algebra from integer weights reduced mod the group.
 
@@ -84,8 +89,8 @@ def gen_weight_graded(n: int, moduli: Sequence[int], seed: int) -> SubgradedAlge
     upper positions with distinct weights, which pins the zero component at 0
     (the scalar-zero-component hypothesis) whenever the ambient fits.
     """
-    if n > 6:
-        raise ValueError("weight-graded generator is desk-scale (n <= 6)")
+    if n > WEIGHT_GRADED_MAX_DIM:
+        raise ValueError(f"weight-graded generator is desk-scale (n <= {WEIGHT_GRADED_MAX_DIM})")
     group = FinAbGroup(moduli)
     rng = random.Random(("graded", n, tuple(moduli), seed).__repr__())
     upper_mode = bool(group.moduli) and rng.random() < 0.5

@@ -1,12 +1,14 @@
 """Structural computations for matrix Lie algebras over Q(i).
 
-Everything here is exact: closures and series are fixpoints of bracketing
-plus re-canonicalization, solvability runs through the derived series, and
-the quantified hypothesis "every element of this subspace is nilpotent" is
-decided by three exact stages: a seeded integer combination that is not
-nilpotent refutes it (an exact certificate, not a sample), a product chain
-V, V V, V V V, ... that vanishes proves it, and the polarized trace
-identities decide what neither settles.
+Everything here is exact: the closure of a generating set is the span
+closure (``subspaces.span_closure``) under bracketing with the generators
+alone, series are fixpoints of bracketing plus re-canonicalization,
+solvability runs through the derived series, and the quantified hypothesis
+"every element of this subspace is nilpotent" is decided by three exact
+stages: a seeded integer combination that is not nilpotent refutes it (an
+exact certificate, not a sample), a product chain V, V V, V V V, ... that
+vanishes proves it, and the polarized trace identities decide what neither
+settles.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .subspaces import (
     _Echelon,
     mat_span,
     span_basis_mats,
+    span_closure,
 )
 
 __all__ = [
@@ -49,17 +52,12 @@ __all__ = [
     "jordan_product",
     "NotClosedError",
     "NormalizerError",
-    "ClosureCapError",
     "PreconditionError",
 ]
 
 
 class NormalizerError(ValueError):
     """An element does not normalize the algebra it is applied to."""
-
-
-class ClosureCapError(RuntimeError):
-    """Defensive guard: closure iteration exceeded its dimension cap."""
 
 
 class PreconditionError(ValueError):
@@ -74,10 +72,13 @@ class SeriesReport:
     terminal_dim: int
 
 
-def lie_closure(
-    generators: Sequence[Mat], cap: int | None = None, ambient_dim: int | None = None
-) -> LieAlgebra:
-    """Smallest bracket-closed subspace containing the generators."""
+def lie_closure(generators: Sequence[Mat], *, ambient_dim: int | None = None) -> LieAlgebra:
+    """Smallest bracket-closed subspace containing the generators.
+
+    Right-normed brackets [g_1, [g_2, ... g_k]] of the generators span the
+    algebra they generate, so the closure is the smallest subspace holding
+    the generators and invariant under x -> [g, x] for each generator g.
+    """
     gens = list(generators)
     if ambient_dim is None:
         if not gens:
@@ -87,25 +88,9 @@ def lie_closure(
     for g in gens:
         if g.shape != (n, n):
             raise ShapeError("generators must be square and of equal size")
-    if cap is None:
-        cap = n * n
-    elif cap < n * n:
-        raise ValueError(f"cap {cap} below the ambient bound {n * n}")
-    ech = _Echelon(n * n)
-    basis: list[Mat] = []
-    work = list(gens)
-    while work:
-        m = work.pop()
-        if m.is_zero():
-            continue
-        if not ech.add(m):
-            continue
-        for b in basis:
-            work.append(bracket(m, b))
-        basis.append(m)
-        if len(basis) > cap:
-            raise ClosureCapError(f"closure exceeded cap {cap}")
-    return LieAlgebra.from_span(ech.subspace(), n)
+    actions = [lambda x, g=g: bracket(g, x) for g in gens]
+    _, span = span_closure(gens, actions, n * n)
+    return LieAlgebra.from_span(span, n)
 
 
 def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:

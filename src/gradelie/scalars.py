@@ -98,10 +98,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 

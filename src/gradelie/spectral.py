@@ -26,6 +26,7 @@ from .subspaces import (
     canonicalize,
     column_kernel,
     mat_inverse,
+    span_closure,
     stack_vertical,
 )
 from .lie import (
@@ -33,7 +34,6 @@ from .lie import (
     PreconditionError,
     derived_subalgebra_mats,
     is_solvable,
-    lie_closure,
 )
 
 __all__ = [
@@ -105,19 +105,7 @@ def spectral_radius(a: Mat, tol: float = 1e-9) -> float:
 
 def _assoc_closure(mats: Sequence[Mat], n: int) -> tuple[list[Mat], Subspace]:
     """Basis of the unital algebra generated, in construction order."""
-    ech = _Echelon(n * n)
-    basis: list[Mat] = []
-    queue: list[Mat] = [Mat.identity(n)]
-    head = 0
-    while head < len(queue):
-        m = queue[head]
-        head += 1
-        if not ech.add(m):
-            continue
-        basis.append(m)
-        for g in mats:
-            queue.append(g @ m)
-    return basis, ech.subspace()
+    return span_closure([Mat.identity(n)], [lambda m, g=g: g @ m for g in mats], n * n)
 
 
 def assoc_closure_dim(mats: Sequence[Mat]) -> int:
@@ -155,17 +143,7 @@ def _mat_vec(m: Mat, vec: Sequence[GaussianRational]) -> tuple[GaussianRational,
 
 def _orbit_span(mats: Sequence[Mat], vec, n: int) -> Subspace:
     """Smallest subspace containing vec and invariant under every matrix."""
-    ech = _Echelon(n)
-    queue = [tuple(vec)]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if not ech.add(v):
-            continue
-        for g in mats:
-            queue.append(_mat_vec(g, v))
-    return ech.subspace()
+    return span_closure([tuple(vec)], [lambda v, g=g: _mat_vec(g, v) for g in mats], n)[1]
 
 
 def _verify_invariant(mats: Sequence[Mat], space: Subspace) -> bool:
@@ -345,7 +323,9 @@ def _common_eigenvector(mats: Sequence[Mat], m: int) -> tuple[GaussianRational, 
     live = [a for a in mats if not a.is_zero()]
     if not live:
         return e1
-    algebra = lie_closure(live, ambient_dim=m)
+    # the inputs span a closed algebra: a basis, its compression to a
+    # quotient, or an ideal containing [L, L]
+    algebra = LieAlgebra.from_matrices(live, m)
     d = algebra.dim
     if d == 0:
         return e1

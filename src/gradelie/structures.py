@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import Mat, bracket, jordan_product
-from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats, subspace_sum
+from .subspaces import (
+    MatSubspace, Subspace, mat_span, span_basis_mats, span_closure, subspace_sum,
+)
 from .groups import FinAbGroup
 from .lie import LieAlgebra, NotClosedError, PreconditionError, is_ideal
 from .grading import SubgradedAlgebra, verify_subgrading
@@ -160,12 +162,6 @@ def jordan_ideal_generated(j: MatSubspace, seed: Mat) -> MatSubspace:
     """Smallest Jordan ideal of j containing the seed element."""
     if not j.contains_mat(seed):
         raise PreconditionError("seed element is outside the Jordan algebra")
-    span = mat_span([seed], j.ambient_dim)
-    while True:
-        basis = span_basis_mats(span, j.ambient_dim)
-        products = [jordan_product(a, x) for a in j.basis_mats for x in basis]
-        live = [w for w in products if not w.is_zero()]
-        new_span = subspace_sum(span, mat_span(live, j.ambient_dim))
-        if new_span == span:
-            return MatSubspace.from_span(span, j.ambient_dim)
-        span = new_span
+    n = j.ambient_dim
+    actions = [lambda x, a=a: jordan_product(a, x) for a in j.basis_mats]
+    return MatSubspace.from_span(span_closure([seed], actions, n * n)[1], n)

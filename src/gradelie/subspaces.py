@@ -30,6 +30,7 @@ __all__ = [
     "linear_relations",
     "mat_span",
     "span_basis_mats",
+    "span_closure",
     "column_kernel",
     "mat_inverse",
     "stack_vertical",
@@ -398,6 +399,31 @@ def mat_span(mats: Sequence[Mat], n: int | None = None) -> Subspace:
             raise ShapeError("matrices of mixed shapes in span")
         ech.add(m)
     return ech.subspace()
+
+
+def span_closure(seeds, actions, width: int) -> tuple[list, Subspace]:
+    """The smallest subspace of Q(i)^width holding the seeds and mapped into
+    itself by every linear action.
+
+    The items are vectors or matrices (read row-major).  Returns
+    ``(found, span)``: the independent items in the order they were found,
+    and their canonical span.  The seeds come first, then a FIFO worklist
+    applies each action once to each found item; the loop stops as soon as
+    the span is the whole space.
+    """
+    ech = _Echelon(width)
+    found = [x for x in seeds if ech.add(x)]
+    head = 0
+    while head < len(found) < width:
+        x = found[head]
+        head += 1
+        for act in actions:
+            y = act(x)
+            if ech.add(y):
+                found.append(y)
+                if len(found) == width:
+                    break
+    return found, ech.subspace()
 
 
 def column_kernel(m: Mat) -> list[tuple[GaussianRational, ...]]:

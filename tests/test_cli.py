@@ -283,6 +283,59 @@ def test_fuzz_out_of_range_values_are_input_errors(capsys):
             assert captured.err.startswith(f"input error: {flag}: ")
 
 
+def test_fuzz_refuses_a_dim_max_beyond_the_weight_graded_generator(capsys):
+    # gen_weight_graded stops at n = 6, so every campaign built on it refuses 7
+    for lemma in ("prime", "cart", "ampliation", "findim2", "three-product-search"):
+        assert main(["fuzz", "--lemma", lemma, "--trials", "8", "--dim-max", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: --dim-max: must be at most 6 for this campaign, got 7\n"
+        )
+    assert main(["fuzz", "--lemma", "cartan", "--trials", "0", "--dim-max", "7"]) == 0
+
+
+# exit code and sha256 of `irreducible` and `triangularize --report json` on
+# each built-in example: they pin the witness and flag bytes
+EXAMPLE_JSON_SHA256 = {
+    ("pauli", "irreducible"):
+        (0, "cb049b97acecdaa25b285a578faa11ca6894ac377f5b4bb777407992f6022d48"),
+    ("pauli", "triangularize"):
+        (1, "5256a05fa36eb3bfe337e2815e39cfccddfbc2903c1241624ba9eeb443fad7e1"),
+    ("e1", "irreducible"):
+        (0, "cb049b97acecdaa25b285a578faa11ca6894ac377f5b4bb777407992f6022d48"),
+    ("e1", "triangularize"):
+        (1, "5256a05fa36eb3bfe337e2815e39cfccddfbc2903c1241624ba9eeb443fad7e1"),
+    ("e2", "irreducible"):
+        (0, "d7d14d67d82c18d64281d9e4b7b5e4f4dc781fdce86ae5e6b12b5971c1f295f8"),
+    ("e2", "triangularize"):
+        (1, "5256a05fa36eb3bfe337e2815e39cfccddfbc2903c1241624ba9eeb443fad7e1"),
+    ("heisenberg", "irreducible"):
+        (0, "0c3e861429edde9f73abccd677dcb302ff07b7209cc541d8ac4ff51af49bca9f"),
+    ("heisenberg", "triangularize"):
+        (0, "ca4fe03cd04b0eb62cf817d660b15d69684aa0757a4948f4c8beb383a1ca671f"),
+    ("sl2", "irreducible"):
+        (0, "cb049b97acecdaa25b285a578faa11ca6894ac377f5b4bb777407992f6022d48"),
+    ("sl2", "triangularize"):
+        (1, "5256a05fa36eb3bfe337e2815e39cfccddfbc2903c1241624ba9eeb443fad7e1"),
+    ("jordan_upper", "irreducible"):
+        (0, "459dcc35ef000fa164d0e1a3134c865d26732ef6b6fa5058b8ee210b24aae880"),
+    ("jordan_upper", "triangularize"):
+        (0, "95285408166ed0bfe337ee2b7d04aa256e207738c01da6fbaf0607baf3cb3c53"),
+}
+
+
+def test_example_certificates_are_byte_stable(capsys, tmp_path):
+    for (name, command), (code, want) in EXAMPLE_JSON_SHA256.items():
+        path = tmp_path / f"{name}.json"
+        if not path.exists():
+            assert main(["example", name, "--emit"]) == 0
+            path.write_text(capsys.readouterr().out)
+        assert main([command, "--input", str(path), "--report", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (name, command)
+
+
 # sha256 of `fuzz --lemma NAME --trials 30 --seed 3 --report json`: campaign
 # reports are byte-stable, so any change to these outputs is a finding
 FUZZ_JSON_SHA256 = {

@@ -5,7 +5,7 @@ import pytest
 
 from gradelie.scalars import Q
 from gradelie.matrices import Mat, bracket, is_nilpotent_exact, trace_product
-from gradelie.subspaces import mat_span, span_basis_mats
+from gradelie.subspaces import _Echelon, mat_span, span_basis_mats
 from gradelie.lie import (
     LieAlgebra,
     NormalizerError,
@@ -65,9 +65,84 @@ def test_closure_idempotent():
         assert l1.span == l2.span
 
 
-def test_closure_cap_guard():
-    with pytest.raises(ValueError):
-        lie_closure([Mat.identity(2)], cap=1)
+def _all_pairs_closure(gens, n):
+    """Oracle: the closure that brackets each new element with every element
+    found before it, in last-in-first-out order."""
+    ech = _Echelon(n * n)
+    basis = []
+    work = list(gens)
+    while work:
+        m = work.pop()
+        if m.is_zero() or not ech.add(m):
+            continue
+        work.extend(bracket(m, b) for b in basis)
+        basis.append(m)
+    return ech.subspace()
+
+
+def _random_gens(rng, n, count, gaussian):
+    def entry():
+        if gaussian:
+            return Q(rng.randint(-2, 2), rng.randint(-1, 1))
+        return rng.randint(-2, 2)
+
+    return [Mat.from_rows([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(count)]
+
+
+# three dense 5x5 integer matrices whose all-pairs closure grows numerators
+# of tens of thousands of bits before it reaches gl(5)
+DENSE_5X5 = [
+    Mat.from_int_rows(
+        [[2, -2, 0, 2, 2], [0, -2, -1, -2, 2], [0, 0, 1, 1, 2], [0, 0, 0, 0, -1],
+         [0, 0, 0, 0, -1]]
+    ),
+    Mat.from_int_rows(
+        [[0, 0, 0, 0, -2], [0, -1, -2, 1, -2], [0, 0, -1, -1, 1], [0, 0, 0, -1, 1],
+         [0, 0, 0, 0, 1]]
+    ),
+    Mat.from_int_rows(
+        [[-1, 1, 1, 2, 2], [-2, -1, 2, 0, 1], [-1, 0, 2, -2, 1], [-2, 0, -1, 1, 2],
+         [-1, -2, 0, -1, 0]]
+    ),
+]
+
+
+def test_closure_matches_the_all_pairs_oracle():
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        gens = _random_gens(rng, n, rng.randint(1, 3), gaussian=rng.random() < 0.5)
+        cases.append((gens, n))
+    e, f, g, sl2 = weight_sl2()
+    closed = [heisenberg(), sl2, lie_closure([E(3, 0, 0), E(3, 0, 1), E(3, 1, 2), E(3, 2, 2)])]
+    closed += [lie_closure(gens) for gens, _ in cases[:10]]
+    cases += [(list(algebra.basis_mats), algebra.ambient_dim) for algebra in closed]
+    for gens, n in cases:
+        assert lie_closure(gens).span == _all_pairs_closure(gens, n)
+
+
+def test_dense_5x5_set_closes_to_gl5():
+    assert lie_closure(DENSE_5X5).dim == 25
+
+
+def test_closure_brackets_only_with_the_generators(monkeypatch):
+    import gradelie.lie as lie_module
+
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return bracket(a, b)
+
+    monkeypatch.setattr(lie_module, "bracket", counting)
+    rng = random.Random(5)
+    sets = [DENSE_5X5, [E(3, 0, 1), E(3, 0, 2), E(3, 1, 2)]]
+    sets += [_random_gens(rng, rng.randint(2, 4), rng.randint(1, 3), False) for _ in range(10)]
+    for gens in sets:
+        calls.clear()
+        algebra = lie_closure(gens)
+        assert len(calls) <= len(gens) * algebra.dim
 
 
 def test_from_matrices_verifies_closure():

@@ -25,7 +25,7 @@ def test_division_exact():
 def test_conjugate_and_norm():
     z = Q("2/3", "-1/5")
     assert z.conjugate() == Q("2/3", "1/5")
-    assert z.norm_sq() == Fraction(4, 9) + Fraction(1, 25)
+    assert z * z.conjugate() == Q(Fraction(4, 9) + Fraction(1, 25))
 
 
 def test_parse_forms():

@@ -19,6 +19,7 @@ from gradelie.subspaces import (
     mat_inverse,
     mat_span,
     span_basis_mats,
+    span_closure,
     stack_vertical,
     subspace_intersect,
     subspace_sum,
@@ -206,6 +207,51 @@ def test_echelon_rebuild_does_not_eliminate(monkeypatch):
         ech = s._echelon()
         assert (ech.rows, ech.pivots) == (rows, pivots)
         assert ech.subspace() == s
+
+
+def _permutation(images):
+    """The linear map e_j -> e_images[j] on vectors of length len(images)."""
+    width = len(images)
+    return lambda v: tuple(sum(v[j] for j in range(width) if images[j] == i) for i in range(width))
+
+
+def _unit(width, i):
+    return tuple(int(j == i) for j in range(width))
+
+
+def test_span_closure_is_a_fifo_worklist():
+    calls = []
+
+    def counted(act):
+        return lambda v: calls.append(None) or act(v)
+
+    a = counted(_permutation([1, 3, 4, 0, 0, 0]))
+    b = counted(_permutation([2, 5, 0, 0, 0, 0]))
+    found, span = span_closure([_unit(6, 0)], [a, b], 6)
+    # breadth first: e0, then a e0 and b e0, then a e1 and b e1, then a e2
+    assert found == [_unit(6, i) for i in (0, 1, 2, 3, 5, 4)]
+    assert span == Subspace.full(6)
+    # the span is whole after a e2, so b e2 and the last three items are never acted on
+    assert len(calls) == 5
+
+
+def test_span_closure_edge_cases():
+    def never(v):
+        raise AssertionError("acted on a full span")
+
+    found, span = span_closure([_unit(3, 0), _unit(3, 2), _unit(3, 1)], [never], 3)
+    assert found == [_unit(3, 0), _unit(3, 2), _unit(3, 1)]
+    assert span == Subspace.full(3)
+    assert span_closure([], [never], 3) == ([], Subspace.zero(3))
+    assert span_closure([(0, 0, 0)], [never], 3) == ([], Subspace.zero(3))
+    v, w = (1, Q(0, 1), 0), (0, 1, 1)
+    found, span = span_closure([v, w, (1, Q(1, 1), 1)], [], 3)
+    assert found == [v, w]
+    assert span == canonicalize([v, w])
+    # matrices are read row-major: the unital algebra E_01 generates
+    found, span = span_closure([Mat.identity(2)], [lambda m: Mat.unit(2, 0, 1) @ m], 4)
+    assert found == [Mat.identity(2), Mat.unit(2, 0, 1)]
+    assert span == mat_span(found)
 
 
 def test_row_format_stays_in_subspaces():
