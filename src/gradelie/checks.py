@@ -18,8 +18,9 @@ from .matrices import Mat, bracket, is_nilpotent_exact
 from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats
 from .lie import (
     LieAlgebra,
+    _trace_form_vanishes,
     ad_matrix,
-    cartan_test,
+    derived_series,
     is_engel_element,
     is_nil_subspace,
     is_scalar_set,
@@ -345,7 +346,8 @@ def check_engel_sum_closed(algebra: LieAlgebra) -> CheckReport:
 
 def check_cartan_equivalence(algebra: LieAlgebra) -> CheckReport:
     """The trace-form test and the derived series agree on solvability."""
-    agreed = cartan_test(algebra) == is_solvable(algebra)
+    ds = derived_series(algebra)
+    agreed = _trace_form_vanishes(algebra, ds.terms[1]) == (ds.terminal_dim == 0)
     return check_report(
         "cartan-equivalence", algebra, {}, True, {"trace_test_matches_derived_series": agreed}
     )
@@ -389,7 +391,7 @@ def check_ampliation(s: SubgradedAlgebra) -> CheckReport:
     hypothesis = {"graded_instance": True}
     try:
         direct = ampliate(s).ampliated.is_direct
-    except GradingError as exc:  # not direct, or the back map does not invert it
+    except GradingError as exc:  # too large to build, not direct, or the back map fails
         return check_report(
             "ampliation", s, hypothesis, True, {"ampliation_verified": False}, {"error": str(exc)}
         )

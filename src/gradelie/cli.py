@@ -23,7 +23,7 @@ from .examples import EXAMPLE_NAMES, build_example
 from .lie import (
     LieAlgebra,
     NotClosedError,
-    cartan_test,
+    _trace_form_vanishes,
     derived_series,
     is_nil_subspace,
     is_solvable,
@@ -87,7 +87,7 @@ def _analyze_lie(algebra: LieAlgebra) -> tuple[dict, int]:
         "dim": algebra.dim,
         "solvable": ds.terminal_dim == 0,
         "nilpotent": lc.terminal_dim == 0,
-        "trace_form_test": cartan_test(algebra),
+        "trace_form_test": _trace_form_vanishes(algebra, ds.terms[1]),
         "derived_series_dims": [t.dim for t in ds.terms],
         "lower_central_dims": [t.dim for t in lc.terms],
     }

@@ -5,6 +5,14 @@ algebra and which respects addition of degrees under the bracket; the sum
 need not be direct.  This module verifies such data and builds the graded
 ampliation that turns a subgraded algebra into a genuinely graded one on a
 larger space.
+
+The ampliation sum L_g (x) pi(g), with pi the regular representation, is
+isomorphic to its group-algebra form sum L_g t^g inside L (x) Q(i)[G],
+where [a t^g, b t^h] = [a, b] t^{g+h}.  Its degree law is therefore the
+source's, which ``verify_subgrading`` (the only constructor of a
+``SubgradedAlgebra``) has checked, so the Kronecker form is not verified
+again; and its derived and lower central series are computed degree by
+degree in gl(n), on the support alone.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Mapping, Sequence
 from .matrices import Mat, bracket
 from .subspaces import (
     Subspace,
+    _Echelon,
     mat_span,
     span_basis_mats,
     subspace_sum,
@@ -35,6 +44,7 @@ __all__ = [
     "GradingError",
     "verify_subgrading",
     "ampliate",
+    "MAX_AMPLIATED_SIDE",
     "check_maptri",
     "MaptriReport",
     "homogeneous_commutators",
@@ -213,45 +223,65 @@ def _gather(indices: list[int]):
     return itemgetter(*indices)
 
 
+MAX_AMPLIATED_SIDE = 64
+"""The largest side n*|G| of an ampliation's Kronecker form that ampliate builds."""
+
+
 def ampliate(subgraded: SubgradedAlgebra) -> AmpliationResult:
     """Tensor each component with its degree's regular-representation matrix.
 
-    The result is kept on the algebra, so each algebra is ampliated once.
+    The Kronecker form is checked for directness and against the back map;
+    its bracket-degree law is the source's (see ``_kronecker_subgrading``).
+    Ampliations with n*|G| above ``MAX_AMPLIATED_SIDE`` are refused with a
+    GradingError before anything is built.  The result is kept on the
+    algebra, so each algebra is ampliated once.
     """
     if subgraded._ampliation is not None:
         return subgraded._ampliation
     src = subgraded
     n = src.algebra.ambient_dim
     group = src.group
-    pis = regular_rep(group)
-    elems = sorted(group.elements())
-    index = {g: i for i, g in enumerate(elems)}
-    g_ord = len(elems)
-    big_n = n * g_ord
-    rep_positions = {}
-    for deg in elems:
-        # pi(deg) maps e_h to e_{deg+h}; column of the zero element is a representative
-        rep_positions[deg] = (index[group.add(deg, elems[0])], index[elems[0]])
-    big_components: dict[GroupElem, object] = {}
-    back_map: dict[GroupElem, tuple] = {}
-    all_big: list[Mat] = []
-    for deg in src.support:
-        originals = src.component_mats(deg)
-        bigs = [a.kron(pis[deg]) for a in originals]
-        big_components[deg] = bigs
-        back_map[deg] = tuple(zip(bigs, originals))
-        all_big.extend(bigs)
-    big_algebra = LieAlgebra.from_span(mat_span(all_big, big_n), big_n)
-    ampliated = verify_subgrading(big_algebra, group, big_components)
+    big_n = n * group.order
+    if big_n > MAX_AMPLIATED_SIDE:
+        raise GradingError(
+            f"ampliation side n*|G| = {n}*{group.order} = {big_n} is above "
+            f"MAX_AMPLIATED_SIDE = {MAX_AMPLIATED_SIDE}"
+        )
+    pis = regular_rep(group, src.support)
+    # pi(deg) maps e_0 to e_deg: the column of the zero element is a representative
+    rep_positions = {deg: (i, 0) for i, deg in enumerate(sorted(group.elements()))}
+    back_map = {
+        deg: tuple((a.kron(pis[deg]), a) for a in src.component_mats(deg))
+        for deg in src.support
+    }
+    ampliated = _kronecker_subgrading(group, back_map, big_n)
     if not ampliated.is_direct:
         raise GradingError("ampliation failed to be direct")
     result = AmpliationResult(ampliated, back_map, src, rep_positions)
-    for deg, pairs in back_map.items():
+    for pairs in back_map.values():
         for big, original in pairs:
             if result.f_pi(big) != original:
                 raise GradingError("back map does not invert the ampliation")
     object.__setattr__(subgraded, "_ampliation", result)
     return result
+
+
+def _kronecker_subgrading(
+    group: FinAbGroup, back_map: Mapping[GroupElem, tuple], big_n: int
+) -> SubgradedAlgebra:
+    """The Kronecker form sum L_g (x) pi(g) as a subgraded algebra.
+
+    Its bracket-degree law needs no check: [a (x) pi(g), b (x) pi(h)] is
+    [a, b] (x) pi(g + h), and the source, built only by verify_subgrading,
+    has [L_g, L_h] inside L_{g+h}.  Directness is counted: the component
+    dimensions must add up to the dimension of the span of all elements.
+    """
+    components = {
+        deg: mat_span([big for big, _ in pairs], big_n) for deg, pairs in back_map.items()
+    }
+    span = mat_span([big for pairs in back_map.values() for big, _ in pairs], big_n)
+    direct = sum(c.dim for c in components.values()) == span.dim
+    return SubgradedAlgebra(LieAlgebra.from_span(span, big_n), group, components, direct)
 
 
 @dataclass(frozen=True)
@@ -277,15 +307,50 @@ class MaptriReport:
 def check_maptri(subgraded: SubgradedAlgebra) -> MaptriReport:
     """Engel/solvable transfer from the ampliation down to the original algebra.
 
-    The report says whether the transfer holds; ``ok`` is false on a violation.
+    The ampliation's series are computed on its group-algebra form, degree
+    by degree in gl(n), so no Kronecker matrix is built and the group's
+    order does not matter.  The report says whether the transfer holds;
+    ``ok`` is false on a violation.
     """
-    amp = ampliate(subgraded).ampliated
     return MaptriReport(
-        ampliated_engel=is_nilpotent_lie(amp.algebra),
+        ampliated_engel=_ampliation_series_vanishes(subgraded, derived=False),
         original_engel=is_nilpotent_lie(subgraded.algebra),
-        ampliated_solvable=is_solvable(amp.algebra),
+        ampliated_solvable=_ampliation_series_vanishes(subgraded, derived=True),
         original_solvable=is_solvable(subgraded.algebra),
     )
+
+
+def _ampliation_series_vanishes(subgraded: SubgradedAlgebra, derived: bool) -> bool:
+    """Whether the ampliation's derived (or lower central) series reaches 0.
+
+    In the form sum L_g t^g, with [a t^g, b t^h] = [a, b] t^{g+h}, every
+    term is graded: its degree-k part is the sum over g + h = k of
+    [D_g, D_h] (derived) or [L_g, C_h] (lower central).  Each term lies in
+    the one before it degree by degree, so an unchanged total dimension is
+    a fixpoint.
+    """
+    group = subgraded.group
+    n = subgraded.algebra.ambient_dim
+    first = {g: subgraded.component_mats(g) for g in subgraded.support}
+    term, dim = first, sum(map(len, first.values()))
+    while dim:
+        echelons: dict[GroupElem, _Echelon] = {}
+        for ga, mats_a in (term if derived else first).items():
+            for gb, mats_b in term.items():
+                if derived and gb < ga:  # [D_h, D_g] = -[D_g, D_h]
+                    continue
+                ech = echelons.setdefault(group.add(ga, gb), _Echelon(n * n))
+                for i, a in enumerate(mats_a):
+                    for b in mats_b[i + 1 :] if derived and ga == gb else mats_b:
+                        ech.add(bracket(a, b))
+        term = {
+            g: span_basis_mats(e.subspace(), n) for g, e in sorted(echelons.items()) if e.rows
+        }
+        nxt = sum(map(len, term.values()))
+        if nxt == dim:
+            return False
+        dim = nxt
+    return True
 
 
 def homogeneous_commutators(subgraded: SubgradedAlgebra) -> list[tuple[GroupElem, Mat]]:

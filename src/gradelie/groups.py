@@ -130,13 +130,19 @@ def noncyclic_pairs(group: FinAbGroup) -> set[tuple[GroupElem, GroupElem]]:
     return out
 
 
-def regular_rep(group: FinAbGroup) -> dict[GroupElem, Mat]:
-    """Faithful permutation representation by translation on the group itself."""
+def regular_rep(
+    group: FinAbGroup, degrees: Iterable[GroupElem] | None = None
+) -> dict[GroupElem, Mat]:
+    """Faithful permutation representation by translation on the group itself.
+
+    pi(g) maps e_h to e_{g+h}, elements in sorted order; only the given
+    degrees are built (all of the group by default).
+    """
     elems = sorted(group.elements())
     index = {g: i for i, g in enumerate(elems)}
     n = len(elems)
     out = {}
-    for g in elems:
+    for g in elems if degrees is None else degrees:
         grid = [[0] * n for _ in range(n)]
         for h in elems:
             grid[index[group.add(g, h)]][index[h]] = 1

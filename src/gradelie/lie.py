@@ -164,7 +164,14 @@ def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:
 
 def cartan_test(algebra: LieAlgebra) -> bool:
     """True iff tr(a b) = 0 for all a in [L, L] and b in L (checked on bases)."""
-    for a in derived_subalgebra_mats(algebra):
+    derived = _bracket_span(list(algebra.basis_mats), [], algebra.ambient_dim, same=True)
+    return _trace_form_vanishes(algebra, derived)
+
+
+def _trace_form_vanishes(algebra: LieAlgebra, derived: Subspace) -> bool:
+    """Cartan's trace test with [L, L] given, so that a caller holding the
+    derived series (whose terms[1] is [L, L]) does not bracket again."""
+    for a in span_basis_mats(derived, algebra.ambient_dim):
         for b in algebra.basis_mats:
             if not trace_product(a, b).is_zero():
                 return False

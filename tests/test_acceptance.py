@@ -10,7 +10,13 @@ from gradelie.scalars import Q
 from gradelie.matrices import Mat, bracket, is_nilpotent_exact
 from gradelie.subspaces import canonicalize, mat_span
 from gradelie.groups import FinAbGroup
-from gradelie.lie import is_engel_element, is_nil_subspace, lie_closure
+from gradelie.lie import (
+    is_engel_element,
+    is_nil_subspace,
+    is_nilpotent_lie,
+    is_solvable,
+    lie_closure,
+)
 from gradelie.grading import ampliate, check_maptri, verify_subgrading
 from gradelie.spectral import (
     Flag,
@@ -265,6 +271,25 @@ def test_criterion_09_ampliation_suite():
             assert report.ok, count
             count += 1
         assert count == 803
+
+
+def test_graded_series_match_the_kronecker_form():
+    # check_maptri computes the ampliation's series degree by degree in gl(n),
+    # and ampliate does not re-verify the Kronecker grading: both are checked
+    # here against the n*|G| Kronecker form on the criterion-09 instances
+    count = 0
+    for s in _graded_instances_from_criteria_1_to_6():
+        result = ampliate(s)
+        amp = result.ampliated
+        report = check_maptri(s)
+        assert report.ampliated_engel == is_nilpotent_lie(amp.algebra), count
+        assert report.ampliated_solvable == is_solvable(amp.algebra), count
+        bigs = {deg: [big for big, _ in pairs] for deg, pairs in result.back_map_table.items()}
+        again = verify_subgrading(amp.algebra, amp.group, bigs)
+        assert again.components == amp.components, count
+        assert again.is_direct == amp.is_direct, count
+        count += 1
+    assert count == 803
 
 
 def test_criterion_10_engel_sum_suite():

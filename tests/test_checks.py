@@ -5,9 +5,10 @@ from gradelie.documents import document_from, instance_digest, materialize, pars
 from gradelie.examples import build_example
 from gradelie.generators import gen_nilpotent_triple, gen_weight_graded
 from gradelie.structures import triple_to_z2
-from gradelie.lie import lie_closure
+from gradelie.lie import derived_series, lie_closure
 from gradelie.checks import (
     CheckUsageError,
+    check_cartan_equivalence,
     check_engel_commutators_solvable,
     check_engel_components_solvable,
     check_engel_pairings_solvable,
@@ -208,3 +209,20 @@ def test_campaign_checks_return_reports():
         assert report.document.structure == structure
     assert reports[1][0].digest == instance_digest(document_from(triple, "triple"))
     assert reports[3][0].document == document_from(pair[0], "jordan")
+
+
+def test_cartan_equivalence_brackets_l_l_once(monkeypatch):
+    # [L, L] is the derived series' first term; the trace test reads it from there
+    from gradelie import lie
+
+    calls = []
+    real = lie.bracket
+    monkeypatch.setattr(lie, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    solvable = lie_closure([E(3, 0, 0), E(3, 0, 1), E(3, 1, 2)])
+    for algebra in (solvable, materialize(build_example("sl2"))):
+        del calls[:]
+        derived_series(algebra)
+        alone = len(calls)
+        del calls[:]
+        assert check_cartan_equivalence(algebra).passed
+        assert len(calls) == alone > 0

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import gradelie
 from gradelie.cli import main
 from gradelie.documents import document_from, instance_digest, materialize, parse_document
+from gradelie.examples import build_example
 
 
 def run_cli(*argv, capsys=None):
@@ -273,6 +274,30 @@ def test_lie_analyze_keeps_the_witness_search(capsys, tmp_path):
     }
 
 
+def test_lie_analyze_brackets_l_l_once(capsys, tmp_path, monkeypatch):
+    # the trace-form test reads [L, L] off the derived series instead of bracketing again
+    from gradelie import lie
+    from gradelie.spectral import decide_irreducible
+
+    calls = []
+    real = lie.bracket
+    monkeypatch.setattr(lie, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    for name in ("heisenberg", "sl2"):
+        assert main(["example", name, "--emit"]) == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(capsys.readouterr().out)
+        del calls[:]
+        assert main(["analyze", "--input", str(path), "--report", "json"]) == 0
+        capsys.readouterr()
+        analyzed = len(calls)
+        del calls[:]
+        algebra = materialize(build_example(name))
+        lie.derived_series(algebra)
+        lie.lower_central_series(algebra)
+        decide_irreducible(list(algebra.basis_mats))
+        assert analyzed == len(calls) > 0, name
+
+
 def test_fuzz_out_of_range_values_are_input_errors(capsys):
     # the table rows and the search mode check their parameters the same way
     for lemma in ("cartan", "three-product-search"):
@@ -371,8 +396,14 @@ def test_fuzz_json_is_byte_stable(capsys):
 def test_ampliation_violation_is_a_replayable_counterexample(capsys, monkeypatch):
     from gradelie import grading
 
-    # solvable exactly when the ambient dimension exceeds 3: every ampliation
-    # of an algebra in gl(2) or gl(3) then breaks the transfer down
+    # every ampliation solvable, no algebra in gl(2) or gl(3) solvable: the
+    # transfer down then breaks on every trial
+    series = grading._ampliation_series_vanishes
+
+    def ampliation_solvable(graded, derived):
+        return derived or series(graded, derived)
+
+    monkeypatch.setattr(grading, "_ampliation_series_vanishes", ampliation_solvable)
     monkeypatch.setattr(grading, "is_solvable", lambda algebra: algebra.ambient_dim > 3)
     argv = ["fuzz", "--lemma", "ampliation", "--trials", "3", "--dim-max", "3", "--report", "json"]
     assert main(argv) == 1
@@ -389,14 +420,14 @@ def test_ampliation_violation_is_a_replayable_counterexample(capsys, monkeypatch
 def test_failed_ampliation_is_a_counterexample(capsys, monkeypatch):
     from gradelie import grading
 
-    verify = grading.verify_subgrading
+    kronecker = grading._kronecker_subgrading
 
-    def nondirect_above_gl3(algebra, group, components):
-        s = verify(algebra, group, components)
-        object.__setattr__(s, "is_direct", s.is_direct and algebra.ambient_dim <= 3)
+    def nondirect_above_gl3(group, back_map, big_n):
+        s = kronecker(group, back_map, big_n)
+        object.__setattr__(s, "is_direct", s.is_direct and big_n <= 3)
         return s
 
-    monkeypatch.setattr(grading, "verify_subgrading", nondirect_above_gl3)
+    monkeypatch.setattr(grading, "_kronecker_subgrading", nondirect_above_gl3)
     argv = ["fuzz", "--lemma", "ampliation", "--trials", "2", "--dim-max", "3", "--report", "json"]
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from gradelie import grading
 from gradelie.generators import gen_weight_graded
 from gradelie.groups import FinAbGroup, regular_rep
 from gradelie.lie import lie_closure
+from gradelie.checks import check_ampliation
 from gradelie.grading import (
+    MAX_AMPLIATED_SIDE,
     GradingError,
     ampliate,
     check_maptri,
@@ -210,7 +213,11 @@ def test_f_pi_matches_the_kron_rebuild(moduli):
 def test_ampliation_is_kept_on_the_algebra(monkeypatch):
     e, f, g, s = weight_graded_sl2()
     calls = []
-    monkeypatch.setattr(grading, "regular_rep", lambda group: calls.append(1) or regular_rep(group))
+    def counted(group, degrees=None):
+        calls.append(1)
+        return regular_rep(group, degrees)
+
+    monkeypatch.setattr(grading, "regular_rep", counted)
     result = ampliate(s)
     assert len(calls) == 1
     assert check_maptri(s).ok
@@ -257,8 +264,45 @@ def test_round_trip_reverification():
 def test_check_maptri_reports_a_violation(monkeypatch):
     # solvable only up in the ampliation: the transfer down must be reported as failed
     _, _, _, s = pauli_graded()
-    n = s.algebra.ambient_dim
-    monkeypatch.setattr(grading, "is_solvable", lambda algebra: algebra.ambient_dim > n)
+    monkeypatch.setattr(grading, "_ampliation_series_vanishes", lambda graded, derived: derived)
     rep = check_maptri(s)
     assert rep.ampliated_solvable and not rep.original_solvable
     assert not rep.solvable_implication_ok and not rep.ok
+
+
+def sl2_over_cyclic(order: int):
+    """sl(2) weight-graded by Z_order: e in degree 1, f in degree -1, h in degree 0."""
+    e, f = E(2, 0, 1), E(2, 1, 0)
+    algebra = lie_closure([e, f])
+    comps = {(0,): [bracket(e, f)], (1,): [e], (order - 1,): [f]}
+    return verify_subgrading(algebra, FinAbGroup([order]), comps)
+
+
+def test_check_maptri_reads_only_the_support():
+    # the Kronecker form of Z_200000 would have side 400000; the graded series never builds it
+    s = sl2_over_cyclic(200000)
+    heis = lie_closure([E(3, 0, 1), E(3, 1, 2)])
+    one_component = verify_subgrading(heis, FinAbGroup([200000]), {(0,): heis.span})
+    start = time.perf_counter()
+    rep, rep_heis = check_maptri(s), check_maptri(one_component)
+    assert time.perf_counter() - start < 0.5
+    assert rep.ok and not rep.ampliated_solvable and not rep.ampliated_engel
+    assert rep_heis.ok and rep_heis.ampliated_engel and rep_heis.ampliated_solvable
+
+
+def test_oversized_ampliation_is_refused(monkeypatch):
+    assert MAX_AMPLIATED_SIDE == 64
+    assert ampliate(sl2_over_cyclic(32)).ampliated.algebra.ambient_dim == 64
+    s = sl2_over_cyclic(200000)
+    # refused before any translation matrix is built
+    monkeypatch.setattr(grading, "regular_rep", lambda group, degrees=None: pytest.fail("built"))
+    want = r"n\*\|G\| = 2\*200000 = 400000 is above MAX_AMPLIATED_SIDE = 64"
+    with pytest.raises(GradingError, match=want) as refused:
+        ampliate(s)
+    with pytest.raises(GradingError, match=r"2\*33 = 66 is above"):
+        ampliate(sl2_over_cyclic(33))
+    # the fuzz campaign's check reports the refusal as a replayable failure
+    report = check_ampliation(s)
+    assert not report.passed
+    assert report.conclusions == {"ampliation_verified": False}
+    assert report.counterexample["detail"] == {"error": str(refused.value)}

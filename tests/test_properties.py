@@ -8,8 +8,9 @@ from gradelie.scalars import GaussianRational
 from gradelie.matrices import Mat, bracket, jordan_product
 from gradelie.subspaces import canonicalize, subspace_intersect, subspace_sum
 from gradelie.groups import FinAbGroup, noncyclic_pairs
-from gradelie.lie import is_solvable, lie_closure
-from gradelie.grading import ampliate, verify_subgrading
+from gradelie.lie import derived_series, is_nilpotent_lie, is_solvable, lie_closure
+from gradelie.grading import ampliate, check_maptri, verify_subgrading
+from gradelie.generators import gen_weight_graded
 
 small_fraction = st.builds(
     Fraction, st.integers(-4, 4), st.integers(1, 3)
@@ -126,3 +127,20 @@ def test_solvable_families_stay_solvable(seed):
     from gradelie.generators import gen_solvable
 
     assert is_solvable(gen_solvable(3, seed))
+
+
+small_moduli = st.sampled_from([[2], [3], [4], [5], [2, 2], [2, 3]])
+
+
+@given(st.integers(2, 4), small_moduli, st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_graded_series_match_the_kronecker_form(n, moduli, seed):
+    s = gen_weight_graded(n, moduli, seed)
+    # a non-direct one too: L in degree 0 and the ideal [L, L] again in degree 1 of Z_2
+    derived = derived_series(s.algebra).terms[1]
+    doubled = verify_subgrading(s.algebra, FinAbGroup([2]), {(0,): s.algebra.span, (1,): derived})
+    for graded in (s, doubled):
+        amp = ampliate(graded).ampliated
+        report = check_maptri(graded)
+        assert report.ampliated_engel == is_nilpotent_lie(amp.algebra)
+        assert report.ampliated_solvable == is_solvable(amp.algebra)
