@@ -46,7 +46,6 @@ from .grading import (
     SubgradedAlgebra,
     ampliate,
     check_maptri,
-    homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
     verify_subgrading,
 )

@@ -14,10 +14,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrices import Mat, bracket, is_nilpotent_exact
+from .matrices import Mat, bracket_pairs, is_nilpotent_exact
 from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats
 from .lie import (
     LieAlgebra,
+    SeriesReport,
     _trace_form_vanishes,
     ad_matrix,
     derived_series,
@@ -31,7 +32,6 @@ from .grading import (
     SubgradedAlgebra,
     ampliate,
     check_maptri,
-    homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
 )
 from .structures import (
@@ -149,9 +149,15 @@ def _reducible(s: SubgradedAlgebra) -> bool:
     return assoc_closure_dim(list(s.algebra.basis_mats)) < n * n
 
 
-def _solvable_if(check: str, s: SubgradedAlgebra, hypothesis: dict, met: bool) -> CheckReport:
-    """The report of a theorem that concludes solvability."""
-    conclusions = {"solvable": is_solvable(s.algebra)} if met else {}
+def _solvable_if(
+    check: str, s: SubgradedAlgebra, hypothesis: dict, met: bool,
+    derived: SeriesReport | None = None,
+) -> CheckReport:
+    """The report of a theorem that concludes solvability; ``derived`` is the
+    algebra's derived series when the caller already holds it."""
+    if met and derived is None:
+        derived = derived_series(s.algebra)
+    conclusions = {"solvable": derived.terminal_dim == 0} if met else {}
     return check_report(check, s, hypothesis, met, conclusions, {"failed": "solvable"})
 
 
@@ -223,12 +229,15 @@ def check_engel_components_solvable(s: SubgradedAlgebra) -> CheckReport:
 
 
 def check_engel_commutators_solvable(s: SubgradedAlgebra) -> CheckReport:
-    """Engel homogeneous commutators force solvability."""
-    n = s.algebra.ambient_dim
-    commutators = [m for _, m in homogeneous_commutators(s) if not m.is_zero()]
-    met = subspace_engel_in(s.algebra, mat_span(commutators, n))
+    """Engel homogeneous commutators force solvability.
+
+    By bilinearity the homogeneous commutators [L_g, L_h] span [L, L], the
+    derived series' first term.
+    """
+    ds = derived_series(s.algebra)
+    met = subspace_engel_in(s.algebra, ds.terms[1])
     return _solvable_if(
-        "engel-commutators-solvable", s, {"homogeneous_commutator_span_engel": met}, met
+        "engel-commutators-solvable", s, {"homogeneous_commutator_span_engel": met}, met, ds
     )
 
 
@@ -236,20 +245,18 @@ def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Engel brackets over opposite or non-cocyclic degree pairs force solvability."""
     from .groups import noncyclic_pairs
 
-    n = s.algebra.ambient_dim
     group = s.group
     sharp = noncyclic_pairs(group)
-    mats: list[Mat] = []
-    for ga in s.support:
-        for gb in s.support:
-            if group.add(ga, gb) == group.zero() or (ga, gb) in sharp:
-                mats.extend(
-                    bracket(a, b)
-                    for a in s.component_mats(ga)
-                    for b in s.component_mats(gb)
-                )
-    mats = [m for m in mats if not m.is_zero()]
-    met = subspace_engel_in(s.algebra, mat_span(mats, n))
+    bases = {g: s.component_mats(g) for g in s.support}
+    # the designated pairs are symmetric, so each unordered pair is enough
+    mats = [
+        w
+        for ga, gb, brackets in bracket_pairs(bases)
+        if group.add(ga, gb) == group.zero() or (ga, gb) in sharp
+        for w in brackets
+        if not w.is_zero()
+    ]
+    met = subspace_engel_in(s.algebra, mat_span(mats, s.algebra.ambient_dim))
     return _solvable_if(
         "engel-pairings-solvable", s, {"designated_pair_bracket_span_engel": met}, met
     )
@@ -258,13 +265,9 @@ def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
 def check_nonabelian_solvable_zero_reducible(s: SubgradedAlgebra) -> CheckReport:
     """A solvable non-commutative zero component forces reducibility."""
     n = s.algebra.ambient_dim
-    zero_alg = LieAlgebra.from_span(_zero_component(s), n)
-    derived_nonzero = any(
-        not bracket(a, b).is_zero()
-        for i, a in enumerate(zero_alg.basis_mats)
-        for b in zero_alg.basis_mats[i + 1 :]
-    )
-    solvable0 = is_solvable(zero_alg)
+    ds = derived_series(LieAlgebra.from_span(_zero_component(s), n))
+    derived_nonzero = ds.terms[1].dim > 0
+    solvable0 = ds.terminal_dim == 0
     hypothesis = {
         "graded": s.is_direct,
         "zero_component_solvable": solvable0,

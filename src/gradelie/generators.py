@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .matrices import Mat, bracket, jordan_product
+from .matrices import Mat
 from .subspaces import mat_inverse, mat_span, span_basis_mats, subspace_intersect, subspace_sum
 from .groups import FinAbGroup, GroupElem
 from .lie import LieAlgebra, lie_closure
 from .grading import SubgradedAlgebra, verify_subgrading
-from .structures import MatSubspace, jordan_ideal_generated
+from .structures import MatSubspace, jordan_ideal_generated, jordan_products, triple_products
 
 __all__ = [
     "random_invertible",
@@ -208,19 +208,7 @@ def gen_nilpotent_triple(n: int, seed: int) -> MatSubspace:
     g, gi = random_invertible(n, rng)
     seeds = [g @ u @ gi for u in _random_uppers(n, rng, strict=True, count=rng.randint(1, 2))]
     seeds = [m for m in seeds if not m.is_zero()] or [g @ Mat.unit(n, 0, n - 1) @ gi]
-
-    def products(basis):
-        out = []
-        for a in basis:
-            for b in basis:
-                inner = bracket(a, b)
-                if inner.is_zero():
-                    continue
-                for c in basis:
-                    out.append(bracket(c, inner))
-        return out
-
-    return _close_under(seeds, n, products)
+    return _close_under(seeds, n, triple_products)
 
 
 def gen_nilpotent_jordan(n: int, seed: int) -> MatSubspace:
@@ -229,13 +217,7 @@ def gen_nilpotent_jordan(n: int, seed: int) -> MatSubspace:
     g, gi = random_invertible(n, rng)
     seeds = [g @ u @ gi for u in _random_uppers(n, rng, strict=True, count=rng.randint(1, 2))]
     seeds = [m for m in seeds if not m.is_zero()] or [g @ Mat.unit(n, 0, n - 1) @ gi]
-
-    def products(basis):
-        return [
-            jordan_product(a, b) for i, a in enumerate(basis) for b in basis[i:]
-        ]
-
-    return _close_under(seeds, n, products)
+    return _close_under(seeds, n, jordan_products)
 
 
 def gen_jordan_pair(n: int, seed: int) -> tuple[MatSubspace, MatSubspace]:
@@ -245,13 +227,7 @@ def gen_jordan_pair(n: int, seed: int) -> tuple[MatSubspace, MatSubspace]:
     strict = rng.random() < 0.5
     seeds = [g @ u @ gi for u in _random_uppers(n, rng, strict=strict, count=rng.randint(1, 2))]
     seeds = [m for m in seeds if not m.is_zero()] or [g @ Mat.unit(n, 0, n - 1) @ gi]
-
-    def products(basis):
-        return [
-            jordan_product(a, b) for i, a in enumerate(basis) for b in basis[i:]
-        ]
-
-    j = _close_under(seeds, n, products)
+    j = _close_under(seeds, n, jordan_products)
     pick = j.basis_mats[rng.randrange(len(j.basis_mats))]
     i = jordan_ideal_generated(j, pick)
     return j, i

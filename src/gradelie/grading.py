@@ -12,7 +12,9 @@ where [a t^g, b t^h] = [a, b] t^{g+h}.  Its degree law is therefore the
 source's, which ``verify_subgrading`` (the only constructor of a
 ``SubgradedAlgebra``) has checked, so the Kronecker form is not verified
 again; and its derived and lower central series are computed degree by
-degree in gl(n), on the support alone.
+degree in gl(n), on the support alone, by the series engine of ``lie``.
+Every bracket of basis pairs here, in ``verify_subgrading`` too, comes from
+``matrices.bracket_pairs``, which takes each unordered pair once.
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .matrices import Mat, bracket
-from .subspaces import (
-    Subspace,
-    _Echelon,
-    mat_span,
-    span_basis_mats,
-    subspace_sum,
-)
+from .matrices import Mat, bracket_pairs
+from .subspaces import Subspace, mat_span, span_basis_mats, subspace_sum
 from .groups import FinAbGroup, GroupElem, regular_rep
 from .lie import (
     LieAlgebra,
+    _bracket_spans,
+    _series,
     is_ideal,
     is_nilpotent_lie,
     is_solvable,
@@ -47,7 +45,6 @@ __all__ = [
     "MAX_AMPLIATED_SIDE",
     "check_maptri",
     "MaptriReport",
-    "homogeneous_commutators",
     "nonzero_opposite_bracket_ideal",
 ]
 
@@ -65,8 +62,7 @@ class GradingError(ValueError):
 class SubgradedAlgebra:
     """A Lie algebra with a verified degree decomposition."""
 
-    # _ampliation: the result of ampliate(self), set once by ampliate
-    __slots__ = ("algebra", "group", "components", "is_direct", "_ampliation")
+    __slots__ = ("algebra", "group", "components", "is_direct")
 
     def __init__(
         self,
@@ -79,7 +75,6 @@ class SubgradedAlgebra:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "components", dict(components))
         object.__setattr__(self, "is_direct", is_direct)
-        object.__setattr__(self, "_ampliation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgradedAlgebra is immutable")
@@ -141,19 +136,18 @@ def verify_subgrading(
         )
     support = [g for g, s in comp.items() if s.dim > 0]
     basis_cache = {g: span_basis_mats(comp[g], n) for g in support}
-    for ga in support:
-        for gb in support:
-            target = group.add(ga, gb)
-            w = comp.get(target, zero).outside(
-                bracket(a, b) for a in basis_cache[ga] for b in basis_cache[gb]
+    # a pair fails exactly when its reverse does, and the reverse comes later
+    # in a scan over ordered pairs, so the first failure is that scan's
+    for ga, gb, brackets in bracket_pairs(basis_cache):
+        target = group.add(ga, gb)
+        w = comp.get(target, zero).outside(brackets)
+        if w is not None:
+            raise GradingError(
+                f"bracket of degrees {ga} and {gb} leaves component {target}",
+                gamma=ga,
+                delta=gb,
+                witness=w,
             )
-            if w is not None:
-                raise GradingError(
-                    f"bracket of degrees {ga} and {gb} leaves component {target}",
-                    gamma=ga,
-                    delta=gb,
-                    witness=w,
-                )
     direct = sum(s.dim for s in comp.values()) == algebra.dim
     return SubgradedAlgebra(algebra, group, comp, direct)
 
@@ -233,11 +227,8 @@ def ampliate(subgraded: SubgradedAlgebra) -> AmpliationResult:
     The Kronecker form is checked for directness and against the back map;
     its bracket-degree law is the source's (see ``_kronecker_subgrading``).
     Ampliations with n*|G| above ``MAX_AMPLIATED_SIDE`` are refused with a
-    GradingError before anything is built.  The result is kept on the
-    algebra, so each algebra is ampliated once.
+    GradingError before anything is built.
     """
-    if subgraded._ampliation is not None:
-        return subgraded._ampliation
     src = subgraded
     n = src.algebra.ambient_dim
     group = src.group
@@ -262,7 +253,6 @@ def ampliate(subgraded: SubgradedAlgebra) -> AmpliationResult:
         for big, original in pairs:
             if result.f_pi(big) != original:
                 raise GradingError("back map does not invert the ampliation")
-    object.__setattr__(subgraded, "_ampliation", result)
     return result
 
 
@@ -321,57 +311,12 @@ def check_maptri(subgraded: SubgradedAlgebra) -> MaptriReport:
 
 
 def _ampliation_series_vanishes(subgraded: SubgradedAlgebra, derived: bool) -> bool:
-    """Whether the ampliation's derived (or lower central) series reaches 0.
-
-    In the form sum L_g t^g, with [a t^g, b t^h] = [a, b] t^{g+h}, every
-    term is graded: its degree-k part is the sum over g + h = k of
-    [D_g, D_h] (derived) or [L_g, C_h] (lower central).  Each term lies in
-    the one before it degree by degree, so an unchanged total dimension is
-    a fixpoint.
-    """
-    group = subgraded.group
-    n = subgraded.algebra.ambient_dim
-    first = {g: subgraded.component_mats(g) for g in subgraded.support}
-    term, dim = first, sum(map(len, first.values()))
-    while dim:
-        echelons: dict[GroupElem, _Echelon] = {}
-        for ga, mats_a in (term if derived else first).items():
-            for gb, mats_b in term.items():
-                if derived and gb < ga:  # [D_h, D_g] = -[D_g, D_h]
-                    continue
-                ech = echelons.setdefault(group.add(ga, gb), _Echelon(n * n))
-                for i, a in enumerate(mats_a):
-                    for b in mats_b[i + 1 :] if derived and ga == gb else mats_b:
-                        ech.add(bracket(a, b))
-        term = {
-            g: span_basis_mats(e.subspace(), n) for g, e in sorted(echelons.items()) if e.rows
-        }
-        nxt = sum(map(len, term.values()))
-        if nxt == dim:
-            return False
-        dim = nxt
-    return True
-
-
-def homogeneous_commutators(subgraded: SubgradedAlgebra) -> list[tuple[GroupElem, Mat]]:
-    """Brackets of component-basis pairs, tagged with their degree."""
-    group = subgraded.group
-    support = subgraded.support
-    cache = {g: subgraded.component_mats(g) for g in support}
-    out: list[tuple[GroupElem, Mat]] = []
-    for ai, ga in enumerate(support):
-        for gb in support[ai:]:
-            deg = group.add(ga, gb)
-            mats_a, mats_b = cache[ga], cache[gb]
-            if ga == gb:
-                for i, a in enumerate(mats_a):
-                    for b in mats_b[i + 1 :]:
-                        out.append((deg, bracket(a, b)))
-            else:
-                for a in mats_a:
-                    for b in mats_b:
-                        out.append((deg, bracket(a, b)))
-    return out
+    """Whether the ampliation's derived (or lower central) series reaches 0,
+    computed on the group-algebra form by the graded series engine."""
+    terms = _series(
+        subgraded.components, subgraded.algebra.ambient_dim, not derived, subgraded.group.add
+    )
+    return not terms[-1]
 
 
 def nonzero_opposite_bracket_ideal(subgraded: SubgradedAlgebra) -> SubgradedAlgebra:
@@ -379,26 +324,13 @@ def nonzero_opposite_bracket_ideal(subgraded: SubgradedAlgebra) -> SubgradedAlge
     group = subgraded.group
     n = subgraded.algebra.ambient_dim
     zero = group.zero()
-    new_zero = Subspace.zero(n * n)
-    done = set()
-    for g in subgraded.support:
-        neg = group.neg(g)
-        key = (min(g, neg), max(g, neg))
-        if g == zero or key in done:
-            continue
-        done.add(key)
-        if subgraded.component(neg).dim == 0:
-            continue
-        piece = mat_span(
-            [
-                bracket(a, b)
-                for a in subgraded.component_mats(g)
-                for b in subgraded.component_mats(neg)
-            ],
-            n,
-        )
-        if piece.dim:
-            new_zero = subspace_sum(new_zero, piece)
+    bases = {g: subgraded.component_mats(g) for g in subgraded.support}
+    opposite = (
+        (g, h, brackets)
+        for g, h, brackets in bracket_pairs(bases)
+        if g != zero and group.add(g, h) == zero
+    )
+    new_zero = _bracket_spans(opposite, n, group.add).get(zero, Subspace.zero(n * n))
     comps: dict[GroupElem, Subspace] = {}
     total = new_zero
     for g in subgraded.support:

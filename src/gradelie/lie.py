@@ -2,8 +2,10 @@
 
 Everything here is exact: the closure of a generating set is the span
 closure (``subspaces.span_closure``) under bracketing with the generators
-alone, series are fixpoints of bracketing plus re-canonicalization,
-solvability runs through the derived series, and the quantified hypothesis
+alone, and solvability runs through the derived series.  One series engine,
+``_series``, computes the derived and lower central series of a graded
+algebra degree by degree from the pairs ``matrices.bracket_pairs`` gives; an
+ungraded algebra is its one component {(): L}.  The quantified hypothesis
 "every element of this subspace is nilpotent" is decided by three exact
 stages: a seeded integer combination that is not nilpotent refutes it (an
 exact certificate, not a sample), a product chain V, V V, V V V, ... that
@@ -15,18 +17,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from .groups import FinAbGroup
 from .matrices import (
     Mat,
     ShapeError,
     bracket,
+    bracket_pairs,
     is_nilpotent_exact,
     jordan_product,
     trace_product,
 )
 from .subspaces import (
     LieAlgebra,
+    MatSubspace,
     NotClosedError,
     Subspace,
     _Echelon,
@@ -66,9 +71,7 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesReport:
-    kind: str  # "lower-central" | "derived"
-    terms: tuple[Subspace, ...]
-    stabilized: bool
+    terms: tuple[Subspace, ...]  # from L to the first repeated term, which appears twice
     terminal_dim: int
 
 
@@ -109,43 +112,67 @@ def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:
     return Mat.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
-def _bracket_span(left: Sequence[Mat], right: Sequence[Mat], n: int, same: bool) -> Subspace:
-    ech = _Echelon(n * n)
-    if same:
-        for i, a in enumerate(left):
-            for b in left[i + 1 :]:
-                ech.add(bracket(a, b))
-    else:
-        for a in left:
-            for b in right:
-                ech.add(bracket(a, b))
-    return ech.subspace()
+# -- the series engine ------------------------------------------------------
+#
+# A graded algebra sum L_g t^g with [a t^g, b t^h] = [a, b] t^{g+h} has
+# graded derived and lower central series: the degree-k part of the next
+# term is the sum over g + h = k of [D_g, D_h] (derived) or [L_g, C_h]
+# (lower central).  An ungraded algebra is the one component {(): L} of the
+# trivial group.  Each term lies in the one before it, degree by degree.
+
+_TRIVIAL = FinAbGroup(())
 
 
-def _series(algebra: LieAlgebra, kind: str) -> SeriesReport:
+def _bracket_spans(pairs, n: int, add) -> dict:
+    """The canonical span of the brackets from ``bracket_pairs``, one per
+    degree sum, sorted by degree; zero spans are left out."""
+    echelons: dict = {}
+    for g, h, brackets in pairs:
+        k = add(g, h)
+        ech = echelons.get(k)
+        if ech is None:
+            ech = echelons[k] = _Echelon(n * n)
+        for w in brackets:
+            ech.add(w)
+    return {k: e.subspace() for k, e in sorted(echelons.items()) if e.rows}
+
+
+def _series(first: Mapping, n: int, lower: bool, add) -> list[dict]:
+    """The derived (or lower central) series of sum L_g t^g, degree by degree.
+
+    ``first`` maps each degree to L_g, a subspace of flattened gl(n), and
+    ``add`` adds degrees.  Each term maps a degree to its nonzero part.  The
+    terms run from L to the first term equal to the one before it, so the
+    last term appears twice; a zero term is repeated without bracketing.
+    """
+    term = {g: s for g, s in first.items() if s.dim}
+    terms = [term]
+    base = mats = {g: span_basis_mats(s, n) for g, s in term.items()}
+    while term:
+        pairs = bracket_pairs(base, mats) if lower else bracket_pairs(mats)
+        term = _bracket_spans(pairs, n, add)
+        terms.append(term)
+        if term == terms[-2]:
+            return terms
+        mats = {g: span_basis_mats(s, n) for g, s in term.items()}
+    terms.append(term)
+    return terms
+
+
+def _ungraded_series(algebra: LieAlgebra, lower: bool) -> SeriesReport:
     n = algebra.ambient_dim
-    terms = [algebra.span]
-    term_mats = list(algebra.basis_mats)
-    while True:
-        if kind == "derived":
-            nxt = _bracket_span(term_mats, term_mats, n, same=True)
-        else:
-            nxt = _bracket_span(list(algebra.basis_mats), term_mats, n, same=False)
-        terms.append(nxt)
-        if nxt == terms[-2]:
-            return SeriesReport(kind, tuple(terms), True, nxt.dim)
-        term_mats = span_basis_mats(nxt, n)
-        if nxt.is_zero():
-            terms.append(nxt)
-            return SeriesReport(kind, tuple(terms), True, 0)
+    zero = Subspace.zero(n * n)
+    terms = _series({(): algebra.span}, n, lower, _TRIVIAL.add)
+    spans = tuple(t.get((), zero) for t in terms)
+    return SeriesReport(spans, spans[-1].dim)
 
 
 def derived_series(algebra: LieAlgebra) -> SeriesReport:
-    return _series(algebra, "derived")
+    return _ungraded_series(algebra, lower=False)
 
 
 def lower_central_series(algebra: LieAlgebra) -> SeriesReport:
-    return _series(algebra, "lower-central")
+    return _ungraded_series(algebra, lower=True)
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -156,16 +183,21 @@ def is_nilpotent_lie(algebra: LieAlgebra) -> bool:
     return lower_central_series(algebra).terminal_dim == 0
 
 
+def commutator_span(m: MatSubspace) -> Subspace:
+    """[M, M] for a subspace of gl(n): the span of the brackets of basis pairs."""
+    n = m.ambient_dim
+    spans = _bracket_spans(bracket_pairs({(): m.basis_mats}), n, _TRIVIAL.add)
+    return spans.get((), Subspace.zero(n * n))
+
+
 def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:
     """A canonical basis of [L, L]."""
-    span = _bracket_span(list(algebra.basis_mats), [], algebra.ambient_dim, same=True)
-    return span_basis_mats(span, algebra.ambient_dim)
+    return span_basis_mats(commutator_span(algebra), algebra.ambient_dim)
 
 
 def cartan_test(algebra: LieAlgebra) -> bool:
     """True iff tr(a b) = 0 for all a in [L, L] and b in L (checked on bases)."""
-    derived = _bracket_span(list(algebra.basis_mats), [], algebra.ambient_dim, same=True)
-    return _trace_form_vanishes(algebra, derived)
+    return _trace_form_vanishes(algebra, commutator_span(algebra))
 
 
 def _trace_form_vanishes(algebra: LieAlgebra, derived: Subspace) -> bool:

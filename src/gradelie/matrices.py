@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .scalars import GaussianRational
 __all__ = [
     "Mat",
     "bracket",
+    "bracket_pairs",
     "jordan_product",
     "trace_product",
     "is_nilpotent_exact",
@@ -373,6 +374,36 @@ def _ab_plus_sign_ba(a: Mat, b: Mat, sign: int) -> Mat:
 def bracket(a: Mat, b: Mat) -> Mat:
     """Commutator ab - ba."""
     return _ab_plus_sign_ba(a, b, -1)
+
+
+def bracket_pairs(components: Mapping, others: Mapping | None = None):
+    """The brackets of basis pairs that span [A, B], grouped by degree pair.
+
+    ``components`` maps each degree g to a basis (a sequence of matrices) of
+    A_g, and ``others`` does the same for B; an ungraded space is the one
+    component ``{(): basis}``.  Yields ``(g, h, brackets)``, where
+    ``brackets`` lazily gives [a, b] for a in A_g and b in B_h.  Without
+    ``others``, B is A, and each unordered pair is bracketed once, since
+    [b, a] = -[a, b] and [a, a] = 0: degree pairs g <= h in the mapping's
+    order, and basis pairs i < j inside one degree.
+    """
+    if others is not None:
+        for g, left in components.items():
+            for h, right in others.items():
+                yield g, h, _brackets(left, right)
+        return
+    degrees = list(components.items())
+    for p, (g, left) in enumerate(degrees):
+        yield g, g, _brackets(left, None)
+        for h, right in degrees[p + 1 :]:
+            yield g, h, _brackets(left, right)
+
+
+def _brackets(left: Sequence[Mat], right: Sequence[Mat] | None):
+    """[a, b] for a in left and b in right, or for i < j in left without right."""
+    for i, a in enumerate(left):
+        for b in left[i + 1 :] if right is None else right:
+            yield bracket(a, b)
 
 
 def jordan_product(a: Mat, b: Mat) -> Mat:

@@ -9,18 +9,19 @@ and may fail to be direct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .matrices import Mat, bracket, jordan_product
-from .subspaces import (
-    MatSubspace, Subspace, mat_span, span_basis_mats, span_closure, subspace_sum,
-)
+from .matrices import Mat, bracket, bracket_pairs, jordan_product
+from .subspaces import MatSubspace, mat_span, span_basis_mats, span_closure, subspace_sum
 from .groups import FinAbGroup
-from .lie import LieAlgebra, NotClosedError, PreconditionError, is_ideal
+from .lie import LieAlgebra, NotClosedError, PreconditionError, commutator_span, is_ideal
 from .grading import SubgradedAlgebra, verify_subgrading
 
 __all__ = [
     "MatSubspace",
     "JordanIdealChain",
+    "triple_products",
+    "jordan_products",
     "is_lie_triple_system",
     "m_bracket_powers",
     "is_lie_n_product_system",
@@ -39,18 +40,26 @@ class IdealChainError(AssertionError):
     """The embedded Jordan ideal chain failed an exact ideal verification."""
 
 
+def triple_products(basis: Sequence[Mat]) -> list[Mat]:
+    """[a, [b, c]] over basis elements a and unordered pairs b < c, which
+    span the triple products of the basis since [c, b] = -[b, c]."""
+    return [
+        bracket(a, inner)
+        for _, _, inners in bracket_pairs({(): basis})
+        for inner in inners
+        if not inner.is_zero()
+        for a in basis
+    ]
+
+
+def jordan_products(basis: Sequence[Mat]) -> list[Mat]:
+    """a b + b a over basis pairs i <= j, which span the Jordan products."""
+    return [jordan_product(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+
+
 def is_lie_triple_system(m: MatSubspace) -> bool:
-    """Closure under [a, [b, c]] on all basis triples."""
-    basis = m.basis_mats
-    products = []
-    for b in basis:
-        for c in basis:
-            inner = bracket(b, c)
-            if inner.is_zero():
-                continue
-            for a in basis:
-                products.append(bracket(a, inner))
-    return m.span.contains_all(products)
+    """Closure under [a, [b, c]] on basis triples."""
+    return m.span.contains_all(triple_products(m.basis_mats))
 
 
 def m_bracket_powers(m: MatSubspace, k: int) -> list[Mat]:
@@ -74,18 +83,11 @@ def is_lie_n_product_system(m: MatSubspace, n: int) -> bool:
     return m.span.contains_all(m_bracket_powers(m, n))
 
 
-def _bracket_part(m: MatSubspace) -> Subspace:
-    """span [M, M], spanned by the brackets of basis pairs."""
-    basis = m.basis_mats
-    brackets = (bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :])
-    return mat_span([w for w in brackets if not w.is_zero()], m.ambient_dim)
-
-
 def triple_envelope(m: MatSubspace) -> LieAlgebra:
     """The Lie algebra a triple system generates: span M + span [M, M]."""
     if not is_lie_triple_system(m):
         raise PreconditionError("subspace is not closed under the triple product")
-    total = subspace_sum(m.span, _bracket_part(m))
+    total = subspace_sum(m.span, commutator_span(m))
     return LieAlgebra.from_matrices(
         span_basis_mats(total, m.ambient_dim), m.ambient_dim, verify=True
     )
@@ -95,17 +97,13 @@ def triple_to_z2(m: MatSubspace) -> SubgradedAlgebra:
     """Embed a triple system as the odd part of a two-component subgraded algebra."""
     envelope = triple_envelope(m)
     return verify_subgrading(
-        envelope, FinAbGroup([2]), {(0,): _bracket_part(m), (1,): m.span}
+        envelope, FinAbGroup([2]), {(0,): commutator_span(m), (1,): m.span}
     )
 
 
 def is_jordan_algebra(j: MatSubspace) -> bool:
     """Closure under a b + b a on basis pairs."""
-    basis = j.basis_mats
-    products = [
-        jordan_product(a, b) for i, a in enumerate(basis) for b in basis[i:]
-    ]
-    return j.span.contains_all(products)
+    return j.span.contains_all(jordan_products(j.basis_mats))
 
 
 def is_jordan_ideal(j: MatSubspace, i: MatSubspace) -> bool:

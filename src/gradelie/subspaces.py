@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Mat, ShapeError, bracket
+from .matrices import Mat, ShapeError, bracket_pairs
 from .scalars import GaussianRational
 
 __all__ = [
@@ -199,8 +199,12 @@ class _Echelon:
         im = []
         for row in self.rows:
             f = den // row[2]
-            re.extend(v * f for v in row[0])
-            im.extend(v * f for v in row[1])
+            if f == 1:
+                re.extend(row[0])
+                im.extend(row[1])
+            else:
+                re.extend(v * f for v in row[0])
+                im.extend(v * f for v in row[1])
         return Mat._normalized(len(self.rows), self.n_cols, re, im, den)
 
 
@@ -520,10 +524,9 @@ class MatSubspace:
             ambient_dim = mats[0].n_rows
         sub = cls.from_span(mat_span(mats, ambient_dim), ambient_dim)
         if verify:
-            basis = sub.basis_mats
-            brackets = (bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :])
-            if not sub.span.contains_all(brackets):
-                raise NotClosedError("matrix set is not closed under the commutator")
+            for _, _, brackets in bracket_pairs({(): sub.basis_mats}):
+                if not sub.span.contains_all(brackets):
+                    raise NotClosedError("matrix set is not closed under the commutator")
         return sub
 
     @classmethod

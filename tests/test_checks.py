@@ -213,11 +213,11 @@ def test_campaign_checks_return_reports():
 
 def test_cartan_equivalence_brackets_l_l_once(monkeypatch):
     # [L, L] is the derived series' first term; the trace test reads it from there
-    from gradelie import lie
+    from gradelie import matrices
 
     calls = []
-    real = lie.bracket
-    monkeypatch.setattr(lie, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    real = matrices.bracket
+    monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
     solvable = lie_closure([E(3, 0, 0), E(3, 0, 1), E(3, 1, 2)])
     for algebra in (solvable, materialize(build_example("sl2"))):
         del calls[:]

@@ -83,8 +83,11 @@ def test_grade_check_valid_and_violating(capsys, tmp_path):
         )
     )
     assert main(["grade-check", "--input", str(bad), "--report", "json"]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["grading_valid"] is False
+    raw = capsys.readouterr().out
+    assert json.loads(raw)["grading_valid"] is False
+    # the violating degree pair and its witness bracket, byte for byte
+    want = "ac46a525a781563ad0f45824821dca67d97caa86c3149ac8758a01314c90d65e"
+    assert hashlib.sha256(raw.encode()).hexdigest() == want
 
 
 def test_triangularize_certificate(capsys, tmp_path):
@@ -276,12 +279,12 @@ def test_lie_analyze_keeps_the_witness_search(capsys, tmp_path):
 
 def test_lie_analyze_brackets_l_l_once(capsys, tmp_path, monkeypatch):
     # the trace-form test reads [L, L] off the derived series instead of bracketing again
-    from gradelie import lie
+    from gradelie import lie, matrices
     from gradelie.spectral import decide_irreducible
 
     calls = []
-    real = lie.bracket
-    monkeypatch.setattr(lie, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    real = matrices.bracket
+    monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
     for name in ("heisenberg", "sl2"):
         assert main(["example", name, "--emit"]) == 0
         path = tmp_path / f"{name}.json"

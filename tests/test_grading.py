@@ -6,18 +6,17 @@ import pytest
 
 from gradelie.scalars import Q
 from gradelie.matrices import Mat, bracket
-from gradelie.subspaces import mat_span
+from gradelie.subspaces import mat_span, span_basis_mats
 from gradelie import grading
 from gradelie.generators import gen_weight_graded
 from gradelie.groups import FinAbGroup, regular_rep
-from gradelie.lie import lie_closure
+from gradelie.lie import _series, lie_closure
 from gradelie.checks import check_ampliation
 from gradelie.grading import (
     MAX_AMPLIATED_SIDE,
     GradingError,
     ampliate,
     check_maptri,
-    homogeneous_commutators,
     nonzero_opposite_bracket_ideal,
     verify_subgrading,
 )
@@ -86,22 +85,70 @@ def test_component_sum_must_cover():
         verify_subgrading(algebra, FinAbGroup([3]), {(1,): [e], (2,): [f]})
 
 
+def homogeneous_commutator_spans(s):
+    """The span of [L_g, L_h] per degree g + h: the graded derived series' first term."""
+    return _series(s.components, s.algebra.ambient_dim, False, s.group.add)[1]
+
+
 def test_homogeneous_commutators():
     a, b, c, s = pauli_graded()
-    tagged = homogeneous_commutators(s)
-    by_degree = {}
-    for degree, m in tagged:
-        if not m.is_zero():
-            by_degree.setdefault(degree, []).append(m)
-    assert mat_span(by_degree[(1, 1)]) == mat_span([c])
-    assert mat_span(by_degree[(0, 1)]) == mat_span([a])
-    assert mat_span(by_degree[(1, 0)]) == mat_span([b])
+    by_degree = homogeneous_commutator_spans(s)
+    assert by_degree[(1, 1)] == mat_span([c])
+    assert by_degree[(0, 1)] == mat_span([a])
+    assert by_degree[(1, 0)] == mat_span([b])
     # abelian graded algebra: all commutators literally zero
     ab = lie_closure([E(2, 0, 0), E(2, 1, 1)])
     sab = verify_subgrading(
         ab, FinAbGroup([2]), {(0,): [E(2, 0, 0)], (1,): [E(2, 1, 1)]}
     )
-    assert all(m.is_zero() for _, m in homogeneous_commutators(sab))
+    assert homogeneous_commutator_spans(sab) == {}
+
+
+def _first_violation_over_ordered_pairs(algebra, group, components):
+    """The bracket-degree law over every ordered pair of degrees and of basis
+    elements: (gamma, delta, witness) of the first bracket that leaves its
+    component, or None."""
+    n = algebra.ambient_dim
+    comp = {g: mat_span(mats, n) for g, mats in sorted(components.items())}
+    support = [g for g, span in comp.items() if span.dim]
+    bases = {g: span_basis_mats(comp[g], n) for g in support}
+    for ga in support:
+        for gb in support:
+            target = comp.get(group.add(ga, gb))
+            for a in bases[ga]:
+                for b in bases[gb]:
+                    w = bracket(a, b)
+                    if not w.is_zero() and (target is None or not target.contains(w)):
+                        return ga, gb, w
+    return None
+
+
+SCRAMBLE_MODULI = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3)]
+
+
+def test_verify_subgrading_matches_the_ordered_pair_scan():
+    # weight gradings with each component basis matrix moved to a random
+    # degree with probability 1/2; many break the bracket-degree law
+    failed = 0
+    for seed in range(9000, 9600):
+        rng = random.Random(seed)
+        moduli = SCRAMBLE_MODULI[seed % len(SCRAMBLE_MODULI)]
+        s = gen_weight_graded(2 + seed % 3, moduli, seed)
+        elements = s.group.elements()
+        components = {}
+        for g in s.support:
+            for m in s.component_mats(g):
+                degree = rng.choice(elements) if rng.random() < 0.5 else g
+                components.setdefault(degree, []).append(m)
+        want = _first_violation_over_ordered_pairs(s.algebra, s.group, components)
+        try:
+            verify_subgrading(s.algebra, s.group, components)
+            got = None
+        except GradingError as exc:
+            got = (exc.gamma, exc.delta, exc.witness)
+            failed += 1
+        assert got == want, seed
+    assert failed == 182
 
 
 def test_opposite_bracket_ideals():
@@ -210,7 +257,8 @@ def test_f_pi_matches_the_kron_rebuild(moduli):
                 result.f_pi(wrong)
 
 
-def test_ampliation_is_kept_on_the_algebra(monkeypatch):
+def test_ampliate_builds_the_translations_once(monkeypatch):
+    # one regular_rep build per ampliate, and none in check_maptri
     e, f, g, s = weight_graded_sl2()
     calls = []
     def counted(group, degrees=None):
@@ -218,13 +266,12 @@ def test_ampliation_is_kept_on_the_algebra(monkeypatch):
         return regular_rep(group, degrees)
 
     monkeypatch.setattr(grading, "regular_rep", counted)
-    result = ampliate(s)
+    ampliate(s)
     assert len(calls) == 1
     assert check_maptri(s).ok
-    assert ampliate(s) is result
     assert len(calls) == 1
     twin = verify_subgrading(s.algebra, s.group, s.components)
-    assert ampliate(twin) is not result
+    ampliate(twin)
     assert len(calls) == 2
 
 

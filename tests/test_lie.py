@@ -169,15 +169,67 @@ def test_ad_matrix_examples():
 def test_series_examples():
     ab = lie_closure([Mat.from_rows([[1, 0], [0, 2]])])
     ds = derived_series(ab)
-    assert ds.stabilized and ds.terminal_dim == 0
+    assert ds.terminal_dim == 0
     assert [t.dim for t in ds.terms][:2] == [1, 0]
     heis = heisenberg()
     lc = lower_central_series(heis)
     assert [t.dim for t in lc.terms][:3] == [3, 1, 0]
     _, _, _, sl2 = weight_sl2()
     ds2 = derived_series(sl2)
-    assert ds2.stabilized and ds2.terminal_dim == 3
+    assert ds2.terminal_dim == 3
     assert all(t.dim == 3 for t in ds2.terms)
+
+
+def _bracket_span_oracle(left, right, n, same):
+    ech = _Echelon(n * n)
+    if same:
+        for i, a in enumerate(left):
+            for b in left[i + 1 :]:
+                ech.add(bracket(a, b))
+    else:
+        for a in left:
+            for b in right:
+                ech.add(bracket(a, b))
+    return ech.subspace()
+
+
+def _series_oracle(algebra, derived):
+    """The terms of the derived or lower central series, bracketing basis
+    pairs of each term and stopping at a repeated or zero term."""
+    n = algebra.ambient_dim
+    terms = [algebra.span]
+    term_mats = list(algebra.basis_mats)
+    while True:
+        if derived:
+            nxt = _bracket_span_oracle(term_mats, term_mats, n, same=True)
+        else:
+            nxt = _bracket_span_oracle(list(algebra.basis_mats), term_mats, n, same=False)
+        terms.append(nxt)
+        if nxt == terms[-2]:
+            return tuple(terms)
+        term_mats = span_basis_mats(nxt, n)
+        if nxt.is_zero():
+            terms.append(nxt)
+            return tuple(terms)
+
+
+def test_series_match_the_term_by_term_oracle():
+    from gradelie.generators import gen_lie_algebra, gen_solvable
+
+    algebras = [
+        lie_closure([], ambient_dim=3),
+        lie_closure([Mat.from_rows([[1, 0], [0, 2]]), Mat.identity(2)]),
+        heisenberg(),
+        weight_sl2()[3],
+    ]
+    for n in (2, 3, 4):
+        for seed in range(6):
+            algebras += [gen_lie_algebra(n, seed), gen_solvable(n, seed)]
+    for algebra in algebras:
+        ds, lc = derived_series(algebra), lower_central_series(algebra)
+        assert ds.terms == _series_oracle(algebra, derived=True)
+        assert lc.terms == _series_oracle(algebra, derived=False)
+        assert ds.terminal_dim == ds.terms[-1].dim and lc.terminal_dim == lc.terms[-1].dim
 
 
 def test_solvability_wrappers():
