@@ -45,7 +45,6 @@ from .spectral import (
     triangularize_solvable,
     verify_flag,
 )
-from .scalars import format_scalar
 from .campaigns import CampaignError, resolve_campaign, run_campaign
 from .checks import subspace_engel_in
 
@@ -237,18 +236,12 @@ def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
         "triangularizable": True,
         "chain_dims": [s.dim for s in flag.chain],
         "basis_change": _matrix_to_json(flag.basis_change),
-        "chain": [
-            [_vector_json(v) for v in sub.basis_vectors()] for sub in flag.chain
-        ],
+        "chain": [_matrix_to_json(sub.basis_rows) for sub in flag.chain],
         "verified": check.all_ok,
         "max_residual": check.max_residual,
     }
     _emit(report, args.report)
     return 0 if check.all_ok else 1
-
-
-def _vector_json(vec) -> list:
-    return [format_scalar(x) for x in vec]
 
 
 def _cmd_irreducible(doc: AlgebraDocument, args) -> int:
@@ -269,9 +262,7 @@ def _cmd_irreducible(doc: AlgebraDocument, args) -> int:
     }
     if verdict.witness is not None:
         report["invariant_subspace_dim"] = verdict.witness.dim
-        report["invariant_subspace_basis"] = [
-            _vector_json(v) for v in verdict.witness.basis_vectors()
-        ]
+        report["invariant_subspace_basis"] = _matrix_to_json(verdict.witness.basis_rows)
     _emit(report, args.report)
     return 0
 

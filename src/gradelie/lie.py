@@ -149,7 +149,9 @@ def _series(first: Mapping, n: int, lower: bool, add) -> list[dict]:
     terms = [term]
     base = mats = {g: span_basis_mats(s, n) for g, s in term.items()}
     while term:
-        pairs = bracket_pairs(base, mats) if lower else bracket_pairs(mats)
+        # the first step of both series is [L, L], so it takes unordered pairs
+        lower_step = lower and len(terms) > 1
+        pairs = bracket_pairs(base, mats) if lower_step else bracket_pairs(mats)
         term = _bracket_spans(pairs, n, add)
         terms.append(term)
         if term == terms[-2]:

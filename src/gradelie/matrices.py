@@ -149,6 +149,15 @@ class Mat:
     def rows(self) -> list[list[GaussianRational]]:
         return [[self.entry(i, j) for j in range(self.n_cols)] for i in range(self.n_rows)]
 
+    def block(self, i0: int, i1: int, j0: int, j1: int) -> "Mat":
+        """The sub-block of rows i0..i1-1 and columns j0..j1-1."""
+        if not (0 <= i0 <= i1 <= self.n_rows and 0 <= j0 <= j1 <= self.n_cols):
+            raise ShapeError(f"block [{i0}:{i1}, {j0}:{j1}] outside {self.shape}")
+        m = self.n_cols
+        re = [v for i in range(i0, i1) for v in self.re[i * m + j0 : i * m + j1]]
+        im = [v for i in range(i0, i1) for v in self.im[i * m + j0 : i * m + j1]]
+        return Mat._normalized(i1 - i0, j1 - j0, re, im, self.den)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)

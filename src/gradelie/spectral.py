@@ -16,14 +16,12 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .matrices import Mat, ShapeError, to_numeric
 from .scalars import GaussianRational
 from .subspaces import (
     Subspace,
     _Echelon,
-    canonicalize,
     column_kernel,
     mat_inverse,
     span_closure,
@@ -77,6 +75,8 @@ def eig_numeric(a: Mat, tol: float = 1e-9) -> list[complex]:
 
     The similarity residual ||a - Z T Z*|| is checked against tol * ||a||.
     """
+    import scipy.linalg  # only this numeric reduction needs scipy
+
     if not a.is_square():
         raise ShapeError("eigenvalues of a non-square matrix")
     arr = to_numeric(a)
@@ -128,26 +128,23 @@ class IrreducibilityVerdict:
     witness: Subspace | None
 
 
-def _mat_vec(m: Mat, vec: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
-    n, k = m.n_rows, m.n_cols
-    out = []
-    for i in range(n):
-        acc = GaussianRational(0)
-        for j in range(k):
-            e = m.entry(i, j)
-            if e:
-                acc = acc + e * vec[j]
-        out.append(acc)
-    return tuple(out)
+def _columns(m: Mat) -> list[Mat]:
+    return [m.block(0, m.n_rows, j, j + 1) for j in range(m.n_cols)]
 
 
-def _orbit_span(mats: Sequence[Mat], vec, n: int) -> Subspace:
-    """Smallest subspace containing vec and invariant under every matrix."""
-    return span_closure([tuple(vec)], [lambda v, g=g: _mat_vec(g, v) for g in mats], n)[1]
+def _hstack(blocks: Sequence[Mat]) -> Mat:
+    """Set equal-height matrices side by side."""
+    return stack_vertical([b.transpose() for b in blocks]).transpose()
+
+
+def _orbit_span(mats: Sequence[Mat], vec: Mat, n: int) -> Subspace:
+    """Smallest subspace containing the column vec and invariant under every matrix."""
+    return span_closure([vec], [g.__matmul__ for g in mats], n)[1]
 
 
 def _verify_invariant(mats: Sequence[Mat], space: Subspace) -> bool:
-    return space.contains_all(_mat_vec(g, v) for v in space.basis_vectors() for g in mats)
+    basis = _columns(space.basis_rows.transpose())
+    return space.contains_all(g @ v for v in basis for g in mats)
 
 
 def _rationalize_complex(z: complex, tol: float = 1e-9) -> GaussianRational | None:
@@ -189,13 +186,10 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
             if ker:
                 singular_seen += 1
                 yield from ker
-        one = GaussianRational(1)
-        zero = GaussianRational(0)
-        for i in range(n):
-            yield tuple(one if j == i else zero for j in range(n))
+        yield from _columns(Mat.identity(n))
         rng = random.Random(_WITNESS_SEED)
         for _ in range(_RANDOM_PROBES):
-            yield tuple(GaussianRational(rng.randint(-3, 3)) for _ in range(n))
+            yield Mat.from_int_rows([[rng.randint(-3, 3)] for _ in range(n)])
         for m in mats + basis[: 2 * _SINGULAR_BUDGET]:
             try:
                 arr = to_numeric(m)
@@ -210,10 +204,10 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
                 v = v / v[big]
                 rat = [_rationalize_complex(complex(x)) for x in v]
                 if all(r is not None for r in rat):
-                    yield tuple(rat)
+                    yield Mat.from_rows([rat]).transpose()
 
     for cand in candidates():
-        if all(x.is_zero() for x in cand):
+        if cand.is_zero():
             continue
         orbit = _orbit_span(mats, cand, n)
         if 0 < orbit.dim < n:
@@ -228,9 +222,28 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
 # -- triangularization --------------------------------------------------------
 
 
+def _leading_spans(u: Mat) -> list[Subspace] | None:
+    """The spans of the first k columns of u for k = 1..n-1, from one echelon
+    pass over its columns; None when u is not square and invertible."""
+    n = u.n_rows
+    if u.n_cols != n:
+        return None
+    ech = _Echelon(n)
+    spans = []
+    for col in _columns(u):
+        if not ech.add(col):
+            return None
+        spans.append(ech.subspace())
+    return spans[:-1]
+
+
 @dataclass(frozen=True)
 class Flag:
-    """Maximal chain of invariant subspaces plus the change of basis realizing it."""
+    """Maximal chain of invariant subspaces plus the change of basis realizing it.
+
+    Chain member k is the span of the first k columns of ``basis_change``,
+    which must be invertible.
+    """
 
     chain: tuple[Subspace, ...]
     basis_change: Mat
@@ -242,30 +255,26 @@ class Flag:
         for k, sub in enumerate(self.chain, start=1):
             if sub.dim != k or sub.ambient_dim != n:
                 raise TriangularizationError("flag chain dims must increase by one")
-            cols = [
-                tuple(self.basis_change.entry(i, c) for i in range(n))
-                for c in range(k)
-            ]
-            if canonicalize(cols, ambient_dim=n) != sub:
-                raise TriangularizationError(
-                    "chain member does not match the leading basis-change columns"
-                )
+        spans = _leading_spans(self.basis_change)
+        if spans is None:
+            raise TriangularizationError("basis change is not invertible")
+        if tuple(spans) != self.chain:
+            raise TriangularizationError(
+                "chain member does not match the leading basis-change columns"
+            )
 
 
-def _complete_basis(vec: Sequence[GaussianRational], m: int) -> Mat:
-    """An invertible matrix whose first column is vec."""
+def _complete_basis(vec: Mat, m: int) -> Mat:
+    """An invertible matrix whose first column is the column vec."""
     ech = _Echelon(m)
-    cols = [tuple(vec)]
     ech.add(vec)
-    one = GaussianRational(1)
-    zero = GaussianRational(0)
-    for i in range(m):
+    cols = [vec]
+    for e in _columns(Mat.identity(m)):
         if len(cols) == m:
             break
-        e = tuple(one if j == i else zero for j in range(m))
         if ech.add(e):
             cols.append(e)
-    return Mat.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
+    return _hstack(cols)
 
 
 def _eigenvalue_candidates(z: Mat) -> list[GaussianRational]:
@@ -315,11 +324,10 @@ def _eigenvalue_candidates(z: Mat) -> list[GaussianRational]:
     return out
 
 
-def _common_eigenvector(mats: Sequence[Mat], m: int) -> tuple[GaussianRational, ...]:
-    """A joint eigenvector of a solvable set, exact; recursion on the algebra dim."""
-    one = GaussianRational(1)
-    zero = GaussianRational(0)
-    e1 = tuple(one if j == 0 else zero for j in range(m))
+def _common_eigenvector(mats: Sequence[Mat], m: int) -> Mat:
+    """A joint eigenvector of a solvable set, exact, as a column; recursion on
+    the algebra dim."""
+    e1 = Mat.identity(m).block(0, m, 0, 1)
     live = [a for a in mats if not a.is_zero()]
     if not live:
         return e1
@@ -350,45 +358,34 @@ def _common_eigenvector(mats: Sequence[Mat], m: int) -> tuple[GaussianRational, 
     v = _common_eigenvector(k_mats, m)
     # joint weight space of the ideal at v
     shifted: list[Mat] = []
+    pivot = next(i for i in range(m) if v.entry(i, 0))
     for k in k_mats:
-        kv = _mat_vec(k, v)
-        pivot = next(i for i, x in enumerate(v) if x)
-        lam = kv[pivot] / v[pivot]
-        if kv != tuple(lam * x for x in v):
+        kv = k @ v
+        lam = kv.entry(pivot, 0) / v.entry(pivot, 0)
+        if kv != v.scale(lam):
             raise TriangularizationError("recursive eigenvector failed verification")
         shifted.append(k - Mat.identity(m).scale(lam))
     if shifted:
         w_vectors = column_kernel(stack_vertical(shifted))
     else:
-        w_vectors = [
-            tuple(one if j == i else zero for j in range(m)) for i in range(m)
-        ]
+        w_vectors = _columns(Mat.identity(m))
     w_ech = _Echelon(m)
     for wv in w_vectors:
         w_ech.add(wv)
     # coordinates below come from the echelon, so the basis must too
-    w_basis = w_ech.subspace().basis_vectors()
-    t = len(w_basis)
+    w_basis = w_ech.basis_mat().transpose()
     z_cols = []
-    for wv in w_basis:
-        coords = w_ech.coordinates(_mat_vec(z_mat, wv))
+    for zw in _columns(z_mat @ w_basis):
+        coords = w_ech.coordinates(zw)
         if coords is None:
             raise TriangularizationError("weight space is not invariant")
         z_cols.append(coords)
-    z_small = (
-        Mat.from_rows([[z_cols[j][i] for j in range(t)] for i in range(t)])
-        if t
-        else Mat.zeros(0, 0)
-    )
+    z_small = Mat.from_rows(z_cols).transpose()
+    t = z_small.n_rows
     for lam in _eigenvalue_candidates(z_small):
         kernel = column_kernel(z_small - Mat.identity(t).scale(lam))
         if kernel:
-            coeffs = kernel[0]
-            acc = [zero] * m
-            for c, wv in zip(coeffs, w_basis):
-                if c:
-                    acc = [x + c * y for x, y in zip(acc, wv)]
-            return tuple(acc)
+            return w_basis @ kernel[0]
     raise TriangularizationError(
         "no eigenvalue of the splitting element rationalizes to Q(i)"
     )
@@ -403,41 +400,19 @@ def triangularize_solvable(algebra: LieAlgebra) -> Flag:
     current = list(algebra.basis_mats)
     for step in range(n - 1):
         m = n - step
-        v = _common_eigenvector(current, m)
-        b = _complete_basis(v, m)
+        b = _complete_basis(_common_eigenvector(current, m), m)
         b_inv = mat_inverse(b)
-        transformed = [b_inv @ a @ b for a in current]
         nxt = []
-        for tmat in transformed:
-            for i in range(1, m):
-                if tmat.entry(i, 0):
-                    raise TriangularizationError("eigenvector step failed verification")
-            nxt.append(
-                Mat.from_rows(
-                    [[tmat.entry(i, j) for j in range(1, m)] for i in range(1, m)]
-                )
-            )
-        # accumulate as block-diag(I_step, b)
-        one = GaussianRational(1)
-        zero = GaussianRational(0)
-        grid = [
-            [
-                one if (i == j and i < step) else
-                (b.entry(i - step, j - step) if i >= step and j >= step else zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        u = u @ Mat.from_rows(grid)
+        for a in current:
+            t = b_inv @ a @ b
+            if not t.block(1, m, 0, 1).is_zero():
+                raise TriangularizationError("eigenvector step failed verification")
+            # deflate: the action on the quotient by the eigenvector
+            nxt.append(t.block(1, m, 1, m))
+        # u @ block-diag(I_step, b): the trailing columns times b
+        u = _hstack([u.block(0, n, 0, step), u.block(0, n, step, n) @ b])
         current = nxt
-    chain = []
-    cols = [
-        tuple(u.entry(i, k) for i in range(n))
-        for k in range(n)
-    ]
-    for k in range(1, n):
-        chain.append(canonicalize(cols[:k], ambient_dim=n))
-    flag = Flag(tuple(chain), u)
+    flag = Flag(tuple(_leading_spans(u)), u)
     report = verify_flag(list(algebra.basis_mats), flag, 0.0)
     if not report.all_ok:
         raise TriangularizationError("constructed flag failed exact verification")
@@ -468,8 +443,10 @@ class FlagReport:
 def verify_flag(mats: Sequence[Mat], flag: Flag, tol: float = 0.0) -> FlagReport:
     """Check that every chain member is invariant under every matrix.
 
-    With tol = 0 the check is exact; otherwise the strictly-lower residual of
-    the conjugated matrices is compared to tol, unless an entry lies beyond
+    The chain is spanned by the leading columns of the invertible basis
+    change U, so it is invariant under A exactly when U^-1 A U is upper
+    triangular.  With tol = 0 that is checked exactly; otherwise the
+    strictly-lower residual is compared to tol, unless an entry lies beyond
     the double range, where the exact check decides instead.
     """
     if tol:
@@ -477,10 +454,14 @@ def verify_flag(mats: Sequence[Mat], flag: Flag, tol: float = 0.0) -> FlagReport
             return _verify_flag_numeric(mats, flag, tol)
         except OverflowError:
             pass
-    entries = [
-        FlagEntry(idx, all(_verify_invariant([m], sub) for sub in flag.chain), 0.0)
-        for idx, m in enumerate(mats)
-    ]
+    u = flag.basis_change
+    u_inv = mat_inverse(u)
+    n = u.n_rows
+    entries = []
+    for idx, m in enumerate(mats):
+        t = u_inv @ m @ u
+        ok = all(t.block(j + 1, n, j, j + 1).is_zero() for j in range(n - 1))
+        entries.append(FlagEntry(idx, ok, 0.0))
     return FlagReport("exact", tuple(entries))
 
 

@@ -40,30 +40,11 @@ __all__ = [
 _Row = list
 
 
-def _row_from_values(values: Sequence) -> _Row:
-    den = 1
-    pairs = []
-    for v in values:
-        if isinstance(v, GaussianRational):
-            fr, fi = v.re, v.im
-        elif isinstance(v, (int, Fraction)):
-            fr, fi = Fraction(v), Fraction(0)
-        else:
-            raise TypeError(f"cannot use {type(v).__name__} as a vector entry")
-        pairs.append((fr, fi))
-        den = den * fr.denominator // math.gcd(den, fr.denominator)
-        den = den * fi.denominator // math.gcd(den, fi.denominator)
-    re = [int(fr * den) for fr, _ in pairs]
-    im = [int(fi * den) for _, fi in pairs]
-    return [re, im, den]
-
-
 def _as_row(x, width: int | None = None) -> _Row:
     """The working row of a vector, or of a matrix read row-major."""
-    if isinstance(x, Mat):
-        row = [list(x.re), list(x.im), x.den]
-    else:
-        row = _row_from_values(x)
+    if not isinstance(x, Mat):
+        x = Mat.from_rows([x])
+    row = [list(x.re), list(x.im), x.den]
     if width is not None and len(row[0]) != width:
         raise ShapeError(f"vector of length {len(row[0])} against ambient {width}")
     return row
@@ -234,10 +215,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def basis_vectors(self) -> list[tuple[GaussianRational, ...]]:
-        m = self.basis_rows
-        return [tuple(m.entry(i, j) for j in range(m.n_cols)) for i in range(m.n_rows)]
 
     def _echelon(self) -> _Echelon:
         """An accumulator holding the stored rows; they are reduced already."""
@@ -430,11 +407,10 @@ def span_closure(seeds, actions, width: int) -> tuple[list, Subspace]:
     return found, ech.subspace()
 
 
-def column_kernel(m: Mat) -> list[tuple[GaussianRational, ...]]:
-    """Basis of {x : m @ x = 0}, exact."""
+def column_kernel(m: Mat) -> list[Mat]:
+    """Basis of {x : m @ x = 0}, exact, as columns."""
     t = m.transpose()
-    combos = _left_kernel(_rows_of(t), t.n_cols)
-    return [tuple(c) for c in combos]
+    return [Mat.from_rows([c]).transpose() for c in _left_kernel(_rows_of(t), t.n_cols)]
 
 
 def mat_inverse(m: Mat) -> Mat:
@@ -451,16 +427,8 @@ def mat_inverse(m: Mat) -> Mat:
             raise ValueError("matrix is singular")
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    inv_rows = []
-    for row in ech.rows:
-        re, im, den = row
-        inv_rows.append(
-            [
-                GaussianRational(Fraction(re[n + j], den), Fraction(im[n + j], den))
-                for j in range(n)
-            ]
-        )
-    return Mat.from_rows(inv_rows)
+    # the rows now read [I | m^-1]
+    return ech.basis_mat().block(0, n, n, 2 * n)
 
 
 def stack_vertical(mats: Sequence[Mat]) -> Mat:
@@ -468,12 +436,18 @@ def stack_vertical(mats: Sequence[Mat]) -> Mat:
     if not mats:
         raise ValueError("nothing to stack")
     width = mats[0].n_cols
-    rows = []
+    den = 1
     for m in mats:
         if m.n_cols != width:
             raise ShapeError("mixed widths in stack")
-        rows.extend(m.rows())
-    return Mat.from_rows(rows)
+        den = den * m.den // math.gcd(den, m.den)
+    re: list[int] = []
+    im: list[int] = []
+    for m in mats:
+        f = den // m.den
+        re.extend(v * f for v in m.re)
+        im.extend(v * f for v in m.im)
+    return Mat._normalized(sum(m.n_rows for m in mats), width, re, im, den)
 
 
 def span_basis_mats(s: Subspace, n: int) -> list[Mat]:

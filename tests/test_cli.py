@@ -14,7 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import gradelie
 from gradelie.cli import main
-from gradelie.documents import document_from, instance_digest, materialize, parse_document
+from gradelie.documents import (
+    document_from,
+    dumps_document,
+    instance_digest,
+    materialize,
+    parse_document,
+)
 from gradelie.examples import build_example
 
 
@@ -161,6 +167,26 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["structure"] == "subgraded"
+
+
+def test_example_run_does_not_import_scipy():
+    # scipy serves only the numeric Schur reduction, which no CLI command reaches
+    src = str(Path(gradelie.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from gradelie.cli import main\n"
+        "code = main(['example', 'pauli'])\n"
+        "print('scipy' in sys.modules, code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 FAULT_DOCS = {
@@ -362,6 +388,35 @@ def test_example_certificates_are_byte_stable(capsys, tmp_path):
         assert main([command, "--input", str(path), "--report", "json"]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, (name, command)
+
+
+# exit code and sha256 of `triangularize --report json` on the document of
+# gen_solvable(n, seed): they pin the deflated flags beyond the built-in examples
+SOLVABLE_TRIANGULARIZE_SHA256 = {
+    (2, 0): (0, "95285408166ed0bfe337ee2b7d04aa256e207738c01da6fbaf0607baf3cb3c53"),
+    (2, 1): (0, "95285408166ed0bfe337ee2b7d04aa256e207738c01da6fbaf0607baf3cb3c53"),
+    (2, 2): (0, "10c0782be1a409cf20f357c3670a0b791272c776a94043b72b61bed6cabf7411"),
+    (3, 0): (0, "a3504e39c98841dc763f37c4b220b3efbe461c0c96ead0aff82176af09b90111"),
+    (3, 1): (0, "bdd490661a2cea0b84f5dcb4055f915ca0a54e6cf59f610db87ee29a542c4737"),
+    (3, 2): (0, "50ae6fdb6d561c0c2509aad861f3566059e15e96d43176beae302b2db17520f8"),
+    (4, 0): (0, "53021ae582b735dec2f96435d3c9294aaff6c694b5f78c06c9be11a3010bfe37"),
+    (4, 1): (0, "59c0635d4a32267cc1f2ffa77b0c0d48345631e6a90de8feba4bc30f78c45bee"),
+    (4, 2): (0, "3cc0485862af6c094a9b4295de36215528a3d1d96cb04fbea26b0e74fc9c3236"),
+    (5, 0): (0, "39756166ec108106175e38f9d4db5131634ced35dac2668ea97ad0d38fd01cf5"),
+    (5, 1): (0, "32201255366d1bb303d64be8afa2f1ead3692bd2581aeaa5ad5ac4a66227b7b7"),
+    (5, 2): (0, "fe0bc3e576dfb5f19c6caaf4a28835c168c5b242f28eb25691f33d24761b9330"),
+}
+
+
+def test_solvable_flags_are_byte_stable(capsys, tmp_path):
+    from gradelie.generators import gen_solvable
+
+    for (n, seed), (code, want) in SOLVABLE_TRIANGULARIZE_SHA256.items():
+        path = tmp_path / f"solvable-{n}-{seed}.json"
+        path.write_text(dumps_document(document_from(gen_solvable(n, seed))))
+        assert main(["triangularize", "--input", str(path), "--report", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (n, seed)
 
 
 # sha256 of `fuzz --lemma NAME --trials 30 --seed 3 --report json`: campaign

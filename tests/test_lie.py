@@ -232,6 +232,29 @@ def test_series_match_the_term_by_term_oracle():
         assert ds.terminal_dim == ds.terms[-1].dim and lc.terminal_dim == lc.terms[-1].dim
 
 
+def test_lower_central_series_brackets_unordered_pairs_first(monkeypatch):
+    # the first step is [L, L]: d(d-1)/2 brackets, then d * dim(C_k) per later step
+    from gradelie import matrices
+    from gradelie.generators import gen_lie_algebra, gen_solvable
+
+    calls = []
+    real = matrices.bracket
+    monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    algebras = [lie_closure([], ambient_dim=3), heisenberg(), weight_sl2()[3]]
+    for n in (2, 3, 4):
+        for seed in range(4):
+            algebras += [gen_lie_algebra(n, seed), gen_solvable(n, seed)]
+    for algebra in algebras:
+        del calls[:]
+        lc = lower_central_series(algebra)
+        d = algebra.dim
+        assert len(calls) == d * (d - 1) // 2 + d * sum(t.dim for t in lc.terms[1:-1])
+    # sl(2) is perfect: the series stops after its first step
+    del calls[:]
+    lower_central_series(weight_sl2()[3])
+    assert len(calls) == 3
+
+
 def test_solvability_wrappers():
     zero = lie_closure([], ambient_dim=2)
     assert is_solvable(zero) and is_nilpotent_lie(zero)

@@ -68,7 +68,7 @@ vectors = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_siz
 @settings(max_examples=80, deadline=None)
 def test_canonicalize_projection(vecs):
     s = canonicalize(vecs, ambient_dim=3)
-    assert canonicalize(s.basis_vectors(), ambient_dim=3) == s
+    assert canonicalize(s.basis_rows.rows(), ambient_dim=3) == s
 
 
 @given(vectors, vectors)

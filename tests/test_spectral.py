@@ -118,7 +118,7 @@ def test_witness_is_invariant():
         w = verdict.witness
         assert 0 < w.dim < n
         for m in mats:
-            for v in w.basis_vectors():
+            for v in w.basis_rows.rows():
                 image = [
                     sum((m.entry(i, j) * v[j] for j in range(n)), Q(0))
                     for i in range(n)
@@ -139,7 +139,7 @@ def test_irreducible_consistency_small_probes():
     for probe in itertools.product(range(-1, 2), repeat=2):
         if probe == (0, 0):
             continue
-        vec = tuple(Q(x) for x in probe)
+        vec = Mat.from_int_rows([[x] for x in probe])
         if _orbit_span(mats, vec, n).dim < n:
             full = False
     assert full == decide_irreducible(mats).irreducible
@@ -181,6 +181,68 @@ def test_verify_flag_modes():
 def test_flag_shape_validation():
     with pytest.raises(TriangularizationError):
         Flag((canonicalize([[1, 0], [0, 1]], 2),), Mat.identity(2))
+
+
+def test_flag_refuses_a_singular_basis_change():
+    # the chain matches the leading columns, but the basis change is singular
+    with pytest.raises(TriangularizationError):
+        Flag((canonicalize([[1, 0]], 2),), Mat.from_rows([[1, 2], [0, 0]]))
+    u = Mat.from_rows([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    chain = (canonicalize([[1, 0, 0]], 3), canonicalize([[1, 0, 0], [0, 1, 0]], 3))
+    with pytest.raises(TriangularizationError):
+        Flag(chain, u)
+    with pytest.raises(TriangularizationError):
+        Flag((), Mat.zeros(1))
+
+
+def _flag_by_membership(mats, u):
+    """Reference: A p_k lies in span(p_1..p_k) for k = 1..n-1, p_k the columns of u."""
+    n = u.n_rows
+    cols = [[u.entry(i, k) for i in range(n)] for k in range(n)]
+    verdicts = []
+    for a in mats:
+        ok = True
+        for k in range(1, n):
+            image = [
+                sum((a.entry(i, j) * cols[k - 1][j] for j in range(n)), Q(0))
+                for i in range(n)
+            ]
+            ok = ok and canonicalize(cols[:k], ambient_dim=n).contains(image)
+        verdicts.append(ok)
+    return verdicts
+
+
+def test_verify_flag_matches_the_membership_check():
+    from gradelie.generators import gen_solvable
+
+    rng = random.Random(41)
+    seen = set()
+    for n in (2, 3, 4):
+        for seed in range(8):
+            algebra = gen_solvable(n, seed)
+            mats = list(algebra.basis_mats)
+            u = triangularize_solvable(algebra).basis_change
+            cases = [u]
+            for _ in range(3):
+                # perturb one column of u
+                k = rng.randrange(n)
+                delta = [[rng.randint(-2, 2) if j == k else 0 for j in range(n)] for _ in range(n)]
+                cases.append(u + Mat.from_int_rows(delta))
+            for v in cases:
+                cols = [[v.entry(i, k) for i in range(n)] for k in range(n)]
+                chain = tuple(canonicalize(cols[:k], ambient_dim=n) for k in range(1, n))
+                try:
+                    mat_inverse(v)
+                except ValueError:
+                    with pytest.raises(TriangularizationError):
+                        Flag(chain, v)
+                    continue
+                report = verify_flag(mats, Flag(chain, v), 0.0)
+                got = [e.ok for e in report.entries]
+                assert report.mode == "exact"
+                assert got == _flag_by_membership(mats, v)
+                seen.update(got)
+    assert seen == {True, False}
 
 
 def test_triangularize_fuzz_conjugated_uppers():

@@ -43,7 +43,7 @@ def test_canonicalize_idempotent_and_order_independent():
             [rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(0, 4))
         ]
         s = canonicalize(vecs, ambient_dim=k)
-        assert canonicalize(s.basis_vectors(), ambient_dim=k) == s
+        assert canonicalize(s.basis_rows.rows(), ambient_dim=k) == s
         rng.shuffle(vecs)
         assert canonicalize(vecs, ambient_dim=k) == s
 
@@ -75,7 +75,7 @@ def test_dimension_identity():
         s = subspace_sum(a, b)
         i = subspace_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
-        for v in i.basis_vectors():
+        for v in i.basis_rows.rows():
             assert a.contains(v) and b.contains(v)
 
 
@@ -107,7 +107,7 @@ def test_rational_kernel_regression():
     lam = Q(Fraction(8, 7))
     ker = column_kernel(a - Mat.identity(4).scale(lam))
     assert len(ker) == 1
-    v = ker[0]
+    v = [ker[0].entry(i, 0) for i in range(4)]
     image = [sum((a.entry(i, j) * v[j] for j in range(4)), Q(0)) for i in range(4)]
     assert image == [lam * x for x in v]
 
@@ -117,7 +117,9 @@ def test_column_kernel_random():
     for _ in range(60):
         n = rng.randint(1, 4)
         m = Mat.from_int_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        for v in column_kernel(m):
+        for col in column_kernel(m):
+            assert col.shape == (n, 1)
+            v = [col.entry(i, 0) for i in range(n)]
             image = [sum((m.entry(i, j) * v[j] for j in range(n)), Q(0)) for i in range(n)]
             assert all(x.is_zero() for x in image)
 
@@ -195,7 +197,7 @@ def test_echelon_rebuild_does_not_eliminate(monkeypatch):
     expected = []
     for s in cases:
         ref = _Echelon(s.ambient_dim)
-        for v in s.basis_vectors():
+        for v in s.basis_rows.rows():
             ref.add(v)
         expected.append((ref.rows, ref.pivots))
 
