@@ -19,8 +19,8 @@ from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats
 from .lie import (
     LieAlgebra,
     SeriesReport,
-    _trace_form_vanishes,
     ad_matrix,
+    cartan_test,
     derived_series,
     is_engel_element,
     is_nil_subspace,
@@ -349,8 +349,7 @@ def check_engel_sum_closed(algebra: LieAlgebra) -> CheckReport:
 
 def check_cartan_equivalence(algebra: LieAlgebra) -> CheckReport:
     """The trace-form test and the derived series agree on solvability."""
-    ds = derived_series(algebra)
-    agreed = _trace_form_vanishes(algebra, ds.terms[1]) == (ds.terminal_dim == 0)
+    agreed = cartan_test(algebra) == is_solvable(algebra)
     return check_report(
         "cartan-equivalence", algebra, {}, True, {"trace_test_matches_derived_series": agreed}
     )

@@ -7,6 +7,7 @@ counterexample, or failed certificate is found, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,8 @@ from .examples import EXAMPLE_NAMES, build_example
 from .lie import (
     LieAlgebra,
     NotClosedError,
-    _trace_form_vanishes,
+    PreconditionError,
+    cartan_test,
     derived_series,
     is_nil_subspace,
     is_solvable,
@@ -86,7 +88,7 @@ def _analyze_lie(algebra: LieAlgebra) -> tuple[dict, int]:
         "dim": algebra.dim,
         "solvable": ds.terminal_dim == 0,
         "nilpotent": lc.terminal_dim == 0,
-        "trace_form_test": _trace_form_vanishes(algebra, ds.terms[1]),
+        "trace_form_test": cartan_test(algebra),
         "derived_series_dims": [t.dim for t in ds.terms],
         "lower_central_dims": [t.dim for t in lc.terms],
     }
@@ -223,11 +225,11 @@ def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
         algebra = obj
     else:
         algebra = lie_closure(list(obj.basis_mats), ambient_dim=obj.ambient_dim)
-    if not is_solvable(algebra):
-        _emit({"triangularizable": False, "solvable": False}, args.report)
-        return 1
     try:
         flag = triangularize_solvable(algebra)
+    except PreconditionError:
+        _emit({"triangularizable": False, "solvable": False}, args.report)
+        return 1
     except TriangularizationError as exc:
         _emit({"triangularizable": True, "certificate": None, "error": str(exc)}, args.report)
         return 1
@@ -349,8 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "fuzz":

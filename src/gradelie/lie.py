@@ -5,7 +5,12 @@ closure (``subspaces.span_closure``) under bracketing with the generators
 alone, and solvability runs through the derived series.  One series engine,
 ``_series``, computes the derived and lower central series of a graded
 algebra degree by degree from the pairs ``matrices.bracket_pairs`` gives; an
-ungraded algebra is its one component {(): L}.  The quantified hypothesis
+ungraded algebra is its one component {(): L}.  [L, L] is bracketed once per
+algebra object: ``commutator_span`` keeps it on the ``MatSubspace``, and both
+series and the trace test read it there.  Each later step stops at its
+containment bound: once [L, L] lies in L, every term lies in the one before,
+so a degree stops bracketing when its span reaches that dimension.  The
+quantified hypothesis
 "every element of this subspace is nilpotent" is decided by three exact
 stages: a seeded integer combination that is not nilpotent refutes it (an
 exact certificate, not a sample), a product chain V, V V, V V V, ... that
@@ -123,48 +128,69 @@ def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:
 _TRIVIAL = FinAbGroup(())
 
 
-def _bracket_spans(pairs, n: int, add) -> dict:
+def _bracket_spans(pairs, n: int, add, bound: Mapping | None = None) -> dict:
     """The canonical span of the brackets from ``bracket_pairs``, one per
-    degree sum, sorted by degree; zero spans are left out."""
+    degree sum, sorted by degree; zero spans are left out.
+
+    Brackets are traceless, so no span exceeds n^2 - 1.  ``bound``, when
+    given, maps each degree sum to a dimension its span is known not to
+    exceed; a degree sum it leaves out is 0.  Once a degree's span reaches
+    its bound it is the whole bounded space, so the rest of its brackets are
+    never formed.
+    """
+    cap = n * n - 1
     echelons: dict = {}
     for g, h, brackets in pairs:
         k = add(g, h)
+        limit = cap if bound is None else bound.get(k, 0)
         ech = echelons.get(k)
         if ech is None:
+            if not limit:
+                continue
             ech = echelons[k] = _Echelon(n * n)
-        for w in brackets:
-            ech.add(w)
+        if len(ech.rows) < limit:
+            for w in brackets:
+                if ech.add(w) and len(ech.rows) == limit:
+                    break
     return {k: e.subspace() for k, e in sorted(echelons.items()) if e.rows}
 
 
-def _series(first: Mapping, n: int, lower: bool, add) -> list[dict]:
+def _series(first: Mapping, n: int, lower: bool, add, commutator: Mapping | None = None) -> list[dict]:
     """The derived (or lower central) series of sum L_g t^g, degree by degree.
 
     ``first`` maps each degree to L_g, a subspace of flattened gl(n), and
-    ``add`` adds degrees.  Each term maps a degree to its nonzero part.  The
-    terms run from L to the first term equal to the one before it, so the
+    ``add`` adds degrees; ``commutator``, when given, is the first step
+    [L, L] computed already.  Each term maps a degree to its nonzero part.
+    The terms run from L to the first term equal to the one before it, so the
     last term appears twice; a zero term is repeated without bracketing.
+
+    When [L, L] lies in L degree by degree, so does each term in the one
+    before it (D_{k+1} in D_k and C_{k+1} in C_k, by induction), and the
+    steps after [L, L] are bounded by the term before: a degree stops once
+    its span reaches that dimension, and a degree sum missing from the term
+    before is not bracketed at all.
     """
-    term = {g: s for g, s in first.items() if s.dim}
-    terms = [term]
-    base = mats = {g: span_basis_mats(s, n) for g, s in term.items()}
-    while term:
-        # the first step of both series is [L, L], so it takes unordered pairs
-        lower_step = lower and len(terms) > 1
-        pairs = bracket_pairs(base, mats) if lower_step else bracket_pairs(mats)
-        term = _bracket_spans(pairs, n, add)
+    terms = [{g: s for g, s in first.items() if s.dim}]
+    base = {g: span_basis_mats(s, n) for g, s in terms[0].items()}
+    # the first step of both series is [L, L], so it takes unordered pairs
+    term = _bracket_spans(bracket_pairs(base), n, add) if commutator is None else commutator
+    nested = None  # whether [L, L] lies in L, decided once a later step is needed
+    while term and term != terms[-1]:
+        if nested is None:
+            nested = all(g in terms[0] and terms[0][g].contains_subspace(s) for g, s in term.items())
         terms.append(term)
-        if term == terms[-2]:
-            return terms
         mats = {g: span_basis_mats(s, n) for g, s in term.items()}
-    terms.append(term)
+        pairs = bracket_pairs(base, mats) if lower else bracket_pairs(mats)
+        term = _bracket_spans(pairs, n, add, {g: s.dim for g, s in term.items()} if nested else None)
+    terms += [term] if term == terms[-1] else [term, term]
     return terms
 
 
 def _ungraded_series(algebra: LieAlgebra, lower: bool) -> SeriesReport:
     n = algebra.ambient_dim
     zero = Subspace.zero(n * n)
-    terms = _series({(): algebra.span}, n, lower, _TRIVIAL.add)
+    derived = commutator_span(algebra)
+    terms = _series({(): algebra.span}, n, lower, _TRIVIAL.add, {(): derived} if derived.dim else {})
     spans = tuple(t.get((), zero) for t in terms)
     return SeriesReport(spans, spans[-1].dim)
 
@@ -186,10 +212,18 @@ def is_nilpotent_lie(algebra: LieAlgebra) -> bool:
 
 
 def commutator_span(m: MatSubspace) -> Subspace:
-    """[M, M] for a subspace of gl(n): the span of the brackets of basis pairs."""
-    n = m.ambient_dim
-    spans = _bracket_spans(bracket_pairs({(): m.basis_mats}), n, _TRIVIAL.add)
-    return spans.get((), Subspace.zero(n * n))
+    """[M, M] for a subspace of gl(n): the span of the brackets of basis pairs.
+
+    It is computed once per object and kept in ``m.commutator``.  Only the
+    n^2 - 1 bound of traceless brackets is used, never one from M itself, so
+    the value is exactly [M, M] whether or not M is closed.
+    """
+    if m.commutator is None:
+        n = m.ambient_dim
+        spans = _bracket_spans(bracket_pairs({(): m.basis_mats}), n, _TRIVIAL.add)
+        # the slot caches a function of the span; MatSubspace is otherwise immutable
+        object.__setattr__(m, "commutator", spans.get((), Subspace.zero(n * n)))
+    return m.commutator
 
 
 def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:
@@ -199,13 +233,7 @@ def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:
 
 def cartan_test(algebra: LieAlgebra) -> bool:
     """True iff tr(a b) = 0 for all a in [L, L] and b in L (checked on bases)."""
-    return _trace_form_vanishes(algebra, commutator_span(algebra))
-
-
-def _trace_form_vanishes(algebra: LieAlgebra, derived: Subspace) -> bool:
-    """Cartan's trace test with [L, L] given, so that a caller holding the
-    derived series (whose terms[1] is [L, L]) does not bracket again."""
-    for a in span_basis_mats(derived, algebra.ambient_dim):
+    for a in derived_subalgebra_mats(algebra):
         for b in algebra.basis_mats:
             if not trace_product(a, b).is_zero():
                 return False

@@ -238,6 +238,8 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
+        if self.dim == self.ambient_dim:
+            return True
         ech = self._echelon()
         return all(_row_is_zero(ech.reduce(row)) for row in _rows_of(other.basis_rows))
 
@@ -474,14 +476,17 @@ class MatSubspace:
     No closure is assumed.  A Lie algebra is a bracket-closed one: build it
     with ``from_matrices(..., verify=True)``, or with ``from_span`` when the
     span is known to be closed.  ``LieAlgebra`` names this same class.
+    ``commutator`` holds [M, M] once ``lie.commutator_span`` has computed it;
+    it is a function of the span, so filling it leaves the object unchanged.
     """
 
-    __slots__ = ("ambient_dim", "basis_mats", "span")
+    __slots__ = ("ambient_dim", "basis_mats", "span", "commutator")
 
     def __init__(self, ambient_dim: int, basis_mats: tuple[Mat, ...], span: Subspace):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis_mats", basis_mats)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "commutator", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatSubspace is immutable")

@@ -212,17 +212,23 @@ def test_campaign_checks_return_reports():
 
 
 def test_cartan_equivalence_brackets_l_l_once(monkeypatch):
-    # [L, L] is the derived series' first term; the trace test reads it from there
+    # the trace test and the derived series share one [L, L], so the check
+    # brackets as much as the derived series alone, each on a fresh algebra
     from gradelie import matrices
 
     calls = []
     real = matrices.bracket
     monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
-    solvable = lie_closure([E(3, 0, 0), E(3, 0, 1), E(3, 1, 2)])
-    for algebra in (solvable, materialize(build_example("sl2"))):
+    builders = (
+        lambda: lie_closure([E(3, 0, 0), E(3, 0, 1), E(3, 1, 2)]),
+        lambda: materialize(build_example("sl2")),
+    )
+    for build in builders:
+        algebra = build()
         del calls[:]
         derived_series(algebra)
         alone = len(calls)
+        algebra = build()
         del calls[:]
         assert check_cartan_equivalence(algebra).passed
         assert len(calls) == alone > 0

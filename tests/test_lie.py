@@ -31,6 +31,10 @@ def heisenberg():
     return lie_closure([E(3, 0, 1), E(3, 0, 2), E(3, 1, 2)])
 
 
+def gl(n):
+    return lie_closure([E(n, i, j) for i in range(n) for j in range(n)])
+
+
 def weight_sl2():
     e = E(2, 0, 1)
     f = E(2, 1, 0).scale(Fraction(1, 2))
@@ -221,6 +225,9 @@ def test_series_match_the_term_by_term_oracle():
         lie_closure([Mat.from_rows([[1, 0], [0, 2]]), Mat.identity(2)]),
         heisenberg(),
         weight_sl2()[3],
+        gl(3),
+        gl(4),
+        lie_closure([E(3, 0, 1), E(3, 1, 0)]),  # a perfect sl(2) block inside gl(3)
     ]
     for n in (2, 3, 4):
         for seed in range(6):
@@ -232,27 +239,81 @@ def test_series_match_the_term_by_term_oracle():
         assert ds.terminal_dim == ds.terms[-1].dim and lc.terminal_dim == lc.terms[-1].dim
 
 
-def test_lower_central_series_brackets_unordered_pairs_first(monkeypatch):
-    # the first step is [L, L]: d(d-1)/2 brackets, then d * dim(C_k) per later step
+def _count_brackets(monkeypatch):
+    """A list that grows by one entry per call of matrices.bracket."""
     from gradelie import matrices
-    from gradelie.generators import gen_lie_algebra, gen_solvable
 
     calls = []
     real = matrices.bracket
     monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
-    algebras = [lie_closure([], ambient_dim=3), heisenberg(), weight_sl2()[3]]
+    return calls
+
+
+def _brackets_of(calls, f, *args):
+    del calls[:]
+    f(*args)
+    return len(calls)
+
+
+def test_lower_central_series_brackets_unordered_pairs_first(monkeypatch):
+    # unbounded, the first step [L, L] takes d(d-1)/2 brackets and each later
+    # step d * dim(C_k); the containment bound only ever stops a step early
+    from gradelie.generators import gen_lie_algebra, gen_solvable
+
+    calls = _count_brackets(monkeypatch)
+    builders = [
+        lambda: lie_closure([], ambient_dim=3), heisenberg, lambda: weight_sl2()[3],
+        lambda: gl(3), lambda: gl(4),
+    ]
     for n in (2, 3, 4):
         for seed in range(4):
-            algebras += [gen_lie_algebra(n, seed), gen_solvable(n, seed)]
-    for algebra in algebras:
-        del calls[:]
-        lc = lower_central_series(algebra)
-        d = algebra.dim
-        assert len(calls) == d * (d - 1) // 2 + d * sum(t.dim for t in lc.terms[1:-1])
+            builders += [lambda n=n, seed=seed: gen_lie_algebra(n, seed), lambda n=n, seed=seed: gen_solvable(n, seed)]
+    full = 0
+    for build in builders:
+        algebra = build()
+        d, n = algebra.dim, algebra.ambient_dim
+        count = _brackets_of(calls, lower_central_series, algebra)
+        unbounded = d * (d - 1) // 2 + d * sum(t.dim for t in lower_central_series(build()).terms[1:-1])
+        assert count <= unbounded
+        if d == n * n:
+            full += 1
+            assert count < unbounded, n
+    assert full >= 3
     # sl(2) is perfect: the series stops after its first step
-    del calls[:]
-    lower_central_series(weight_sl2()[3])
-    assert len(calls) == 3
+    assert _brackets_of(calls, lower_central_series, weight_sl2()[3]) == 3
+
+
+def test_one_commutator_per_algebra(monkeypatch):
+    # [L, L] is bracketed once per algebra object: after the derived series,
+    # neither the lower central series nor the trace test brackets its pairs again
+    from gradelie.generators import gen_solvable
+    from gradelie.lie import commutator_span
+
+    calls = _count_brackets(monkeypatch)
+    builders = [heisenberg, lambda: weight_sl2()[3], lambda: gl(3), lambda: gen_solvable(3, 0), lambda: gen_solvable(4, 1)]
+    for build in builders:
+        commutator = _brackets_of(calls, commutator_span, build())
+        assert commutator > 0
+        fresh_lower = _brackets_of(calls, lower_central_series, build())
+        fresh_derived = _brackets_of(calls, derived_series, build())
+        algebra = build()
+        assert _brackets_of(calls, derived_series, algebra) == fresh_derived
+        assert _brackets_of(calls, cartan_test, algebra) == 0
+        assert _brackets_of(calls, lower_central_series, algebra) == fresh_lower - commutator
+        assert _brackets_of(calls, derived_series, algebra) == fresh_derived - commutator
+
+
+def test_series_of_a_subspace_that_is_not_closed_are_unbounded():
+    # [M, M] lies outside M, and C_2 = [M, C_1] is larger than C_1: bounding
+    # C_2 by dim C_1 would stop it at one bracket
+    from gradelie.subspaces import MatSubspace
+
+    m = MatSubspace.from_matrices(
+        [Mat.from_rows([[0, 0, -1], [0, -1, -1], [0, 0, 1]]), Mat.from_rows([[0, 0, -1], [0, 0, 0], [0, 0, -1]])]
+    )
+    assert [t.dim for t in lower_central_series(m).terms] == [2, 1, 2, 2]
+    assert derived_series(m).terms == _series_oracle(m, derived=True)
+    assert lower_central_series(m).terms == _series_oracle(m, derived=False)
 
 
 def test_solvability_wrappers():
