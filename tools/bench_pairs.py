@@ -1,15 +1,18 @@
 """Alternated before/after runs of perfbench, written to one BENCH_*.json record.
 
-Each pair runs ``perfbench/run.py`` once on a base revision and once on the
-working tree, for every named workload; the side that goes first alternates
-from pair to pair, so a drift in machine load falls on both sides alike.
+Each of ten pairs runs ``perfbench/run.py`` once on a base revision and once
+on the working tree, for every named workload; the side that goes first
+alternates from pair to pair, so a drift in machine load falls on both sides
+alike.  Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes.
 The base revision is exported with ``git archive`` into a temporary
-directory, so the repository itself is left untouched.  The record holds the
-seed, ``--seconds``, the pair count, the last JSON line of every run, and per
-side and metric the median and quartiles, plus how many pairs the change won.
+directory, so the repository itself is left untouched.  The record names both
+revisions (the change side as ``HEAD`` plus whether the working tree had
+uncommitted edits) and holds the seed, the run length, the pair count, the
+last JSON line of every run, and per side and metric the median and
+quartiles, plus how many pairs the change won.
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
-        --seed 4242 --seconds 15 --pairs 10 --out BENCH_lie_series.json
+        --seed 4242 --out BENCH_lie_series.json
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -35,10 +39,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def export(rev: str, into: Path) -> str:
     """Write the files of ``rev`` into a directory; return its full hash."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, capture_output=True,
-                         text=True, check=True).stdout.strip()
+    sha = git("rev-parse", rev)
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
     return sha
@@ -66,26 +74,26 @@ def summarize(runs: list[dict], better: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", default="HEAD", help="revision to compare against")
+    parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
+    seconds = spec["run_seconds"]
+    record = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
         record["base"] = export(args.base, base_dir)
-        record["change"] = "working tree"
+        record["change"] = git("rev-parse", "HEAD")
+        record["change_uncommitted_edits"] = bool(git("status", "--porcelain", "--untracked-files=no"))
         for workload in args.workload:
             runs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 sides = [("base", base_dir), ("change", ROOT)]
                 for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
-                    result = run_once(checkout, workload, args.seed, args.seconds)
+                    result = run_once(checkout, workload, args.seed, seconds)
                     runs.append({"pair": pair, "side": side, "result": result})
                     print(workload, pair, side, result["metrics"]["ops_per_s"]["value"], file=sys.stderr)
             record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
