@@ -24,7 +24,7 @@ from .subspaces import (
     subspace_intersect,
     subspace_sum,
 )
-from .groups import FinAbGroup, noncyclic_pairs, regular_rep
+from .groups import FinAbGroup, cyclic_pair, regular_rep
 from .lie import (
     LieAlgebra,
     SeriesReport,
@@ -54,8 +54,6 @@ from .spectral import (
     IrreducibilityVerdict,
     assoc_closure_dim,
     decide_irreducible,
-    eig_numeric,
-    spectral_radius,
     triangularize_solvable,
     verify_flag,
 )

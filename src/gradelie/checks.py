@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from .groups import cyclic_pair
 from .matrices import Mat, bracket_pairs, is_nilpotent_exact
 from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats
 from .lie import (
@@ -243,16 +244,13 @@ def check_engel_commutators_solvable(s: SubgradedAlgebra) -> CheckReport:
 
 def check_engel_pairings_solvable(s: SubgradedAlgebra) -> CheckReport:
     """Engel brackets over opposite or non-cocyclic degree pairs force solvability."""
-    from .groups import noncyclic_pairs
-
     group = s.group
-    sharp = noncyclic_pairs(group)
     bases = {g: s.component_mats(g) for g in s.support}
     # the designated pairs are symmetric, so each unordered pair is enough
     mats = [
         w
         for ga, gb, brackets in bracket_pairs(bases)
-        if group.add(ga, gb) == group.zero() or (ga, gb) in sharp
+        if group.add(ga, gb) == group.zero() or not cyclic_pair(group, ga, gb)
         for w in brackets
         if not w.is_zero()
     ]

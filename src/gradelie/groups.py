@@ -2,7 +2,7 @@
 
 Group elements are canonical residue tuples.  Invariant factors come from
 the gcd/lcm divisor chain of the moduli, so the cyclic/non-cyclic structure
-questions (and the non-cyclic pair relation) are decided exactly.
+questions (and the cyclic pair relation) are decided exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .matrices import Mat
 __all__ = [
     "FinAbGroup",
     "GroupElem",
-    "noncyclic_pairs",
+    "cyclic_pair",
     "regular_rep",
 ]
 
@@ -117,17 +117,11 @@ def _divisor_chain(diag: Sequence[int]) -> tuple[int, ...]:
     return tuple(x for x in d if x > 1)
 
 
-def noncyclic_pairs(group: FinAbGroup) -> set[tuple[GroupElem, GroupElem]]:
-    """All ordered pairs contained in no common cyclic subgroup; symmetric."""
-    elems = group.elements()
-    orders = {g: group.element_order(g) for g in elems}
-    out: set[tuple[GroupElem, GroupElem]] = set()
-    for a, b in itertools.combinations(elems, 2):
-        sub = group.subgroup([a, b])
-        if max(orders[g] for g in sub) != len(sub):
-            out.add((a, b))
-            out.add((b, a))
-    return out
+def cyclic_pair(group: FinAbGroup, a: GroupElem, b: GroupElem) -> bool:
+    """True iff a and b lie in a common cyclic subgroup, that is, iff <a, b>
+    is cyclic: a finite abelian group is cyclic iff its order equals its
+    exponent, and the exponent of <a, b> is lcm(ord a, ord b)."""
+    return len(group.subgroup([a, b])) == math.lcm(group.element_order(a), group.element_order(b))
 
 
 def regular_rep(

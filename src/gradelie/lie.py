@@ -7,10 +7,11 @@ alone, and solvability runs through the derived series.  One series engine,
 algebra degree by degree from the pairs ``matrices.bracket_pairs`` gives; an
 ungraded algebra is its one component {(): L}.  [L, L] is bracketed once per
 algebra object: ``commutator_span`` keeps it on the ``MatSubspace``, and both
-series and the trace test read it there.  Each later step stops at its
-containment bound: once [L, L] lies in L, every term lies in the one before,
-so a degree stops bracketing when its span reaches that dimension.  The
-quantified hypothesis
+series and the trace test read it there.  The series are taken of
+bracket-closed subspaces only: a subspace whose [L, L] leaves it is refused
+with ``NotClosedError``.  So every term lies in the one before, each later
+step stops bracketing a degree when its span reaches that dimension, and a
+series of L ends within dim L + 2 terms.  The quantified hypothesis
 "every element of this subspace is nilpotent" is decided by three exact
 stages: a seeded integer combination that is not nilpotent refutes it (an
 exact certificate, not a sample), a product chain V, V V, V V V, ... that
@@ -164,24 +165,25 @@ def _series(first: Mapping, n: int, lower: bool, add, commutator: Mapping | None
     The terms run from L to the first term equal to the one before it, so the
     last term appears twice; a zero term is repeated without bracketing.
 
-    When [L, L] lies in L degree by degree, so does each term in the one
-    before it (D_{k+1} in D_k and C_{k+1} in C_k, by induction), and the
-    steps after [L, L] are bounded by the term before: a degree stops once
-    its span reaches that dimension, and a degree sum missing from the term
-    before is not bracketed at all.
+    [L, L] must lie in L degree by degree, or ``NotClosedError`` is raised.
+    Then each term lies in the one before it (D_{k+1} in D_k and C_{k+1} in
+    C_k, by induction), so the steps after [L, L] are bounded by the term
+    before: a degree stops once its span reaches that dimension, and a degree
+    sum missing from the term before is not bracketed at all.
     """
     terms = [{g: s for g, s in first.items() if s.dim}]
     base = {g: span_basis_mats(s, n) for g, s in terms[0].items()}
     # the first step of both series is [L, L], so it takes unordered pairs
     term = _bracket_spans(bracket_pairs(base), n, add) if commutator is None else commutator
-    nested = None  # whether [L, L] lies in L, decided once a later step is needed
+    if term and term != terms[0] and not all(
+        g in terms[0] and terms[0][g].contains_subspace(s) for g, s in term.items()
+    ):
+        raise NotClosedError("[L, L] does not lie in L: the subspace is not closed under the commutator")
     while term and term != terms[-1]:
-        if nested is None:
-            nested = all(g in terms[0] and terms[0][g].contains_subspace(s) for g, s in term.items())
         terms.append(term)
         mats = {g: span_basis_mats(s, n) for g, s in term.items()}
         pairs = bracket_pairs(base, mats) if lower else bracket_pairs(mats)
-        term = _bracket_spans(pairs, n, add, {g: s.dim for g, s in term.items()} if nested else None)
+        term = _bracket_spans(pairs, n, add, {g: s.dim for g, s in term.items()})
     terms += [term] if term == terms[-1] else [term, term]
     return terms
 
@@ -196,10 +198,12 @@ def _ungraded_series(algebra: LieAlgebra, lower: bool) -> SeriesReport:
 
 
 def derived_series(algebra: LieAlgebra) -> SeriesReport:
+    """D_0 = L, D_{k+1} = [D_k, D_k]; ``NotClosedError`` unless L is bracket-closed."""
     return _ungraded_series(algebra, lower=False)
 
 
 def lower_central_series(algebra: LieAlgebra) -> SeriesReport:
+    """C_0 = L, C_{k+1} = [L, C_k]; ``NotClosedError`` unless L is bracket-closed."""
     return _ungraded_series(algebra, lower=True)
 
 

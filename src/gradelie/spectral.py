@@ -38,13 +38,10 @@ __all__ = [
     "Flag",
     "FlagReport",
     "IrreducibilityVerdict",
-    "eig_numeric",
-    "spectral_radius",
     "assoc_closure_dim",
     "decide_irreducible",
     "triangularize_solvable",
     "verify_flag",
-    "SpectralConvergenceError",
     "WitnessSearchError",
     "TriangularizationError",
 ]
@@ -52,10 +49,6 @@ __all__ = [
 _WITNESS_SEED = 90717
 _SINGULAR_BUDGET = 25
 _RANDOM_PROBES = 100
-
-
-class SpectralConvergenceError(RuntimeError):
-    """The iterative eigenreduction failed to reach its residual target."""
 
 
 class WitnessSearchError(RuntimeError):
@@ -68,36 +61,6 @@ class WitnessSearchError(RuntimeError):
 
 class TriangularizationError(ValueError):
     """A flag could not be constructed or verified."""
-
-
-def eig_numeric(a: Mat, tol: float = 1e-9) -> list[complex]:
-    """Eigenvalues with multiplicity, via unitary reduction to triangular form.
-
-    The similarity residual ||a - Z T Z*|| is checked against tol * ||a||.
-    """
-    import scipy.linalg  # only this numeric reduction needs scipy
-
-    if not a.is_square():
-        raise ShapeError("eigenvalues of a non-square matrix")
-    arr = to_numeric(a)
-    n = arr.shape[0]
-    if n == 0:
-        return []
-    try:
-        t, z = scipy.linalg.schur(arr, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectralConvergenceError(str(exc)) from exc
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    resid = float(np.linalg.norm(arr - z @ t @ z.conj().T))
-    if resid > tol * scale:
-        raise SpectralConvergenceError(f"similarity defect {resid:.3e} above {tol:.1e}")
-    return [complex(v) for v in np.diag(t)]
-
-
-def spectral_radius(a: Mat, tol: float = 1e-9) -> float:
-    """max |eigenvalue|."""
-    vals = eig_numeric(a, tol)
-    return max((abs(v) for v in vals), default=0.0)
 
 
 # -- associative closure and irreducibility ----------------------------------

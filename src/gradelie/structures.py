@@ -63,11 +63,12 @@ def is_lie_triple_system(m: MatSubspace) -> bool:
 
 
 def m_bracket_powers(m: MatSubspace, k: int) -> list[Mat]:
-    """A basis of span M^[k], built level by level from basis brackets."""
+    """A basis of span M^[k], built level by level from basis brackets;
+    M^[2] = [M, M] is the commutator span kept on ``m``."""
     if k < 1:
         raise ValueError("bracket power index starts at 1")
-    level = list(m.basis_mats)
-    for _ in range(k - 1):
+    level = list(m.basis_mats) if k == 1 else span_basis_mats(commutator_span(m), m.ambient_dim)
+    for _ in range(k - 2):
         nxt = [bracket(a, b) for a in m.basis_mats for b in level]
         nxt = [w for w in nxt if not w.is_zero()]
         if not nxt:

@@ -21,7 +21,6 @@ from gradelie.grading import ampliate, check_maptri, verify_subgrading
 from gradelie.spectral import (
     Flag,
     decide_irreducible,
-    spectral_radius,
     triangularize_solvable,
     verify_flag,
 )
@@ -77,15 +76,19 @@ def test_criterion_01_pauli():
         assert bracket(c, a) == b.scale(2)
         verdict = decide_irreducible(list(s.algebra.basis_mats))
         assert verdict.irreducible and verdict.assoc_dim == 4
+        # a, b and c square to -I and anticommute in pairs, so
+        # (lam x + mu y)^2 = -(lam^2 + mu^2) I exactly: the eigenvalues are
+        # the square roots of -(lam^2 + mu^2), of modulus |lam^2 + mu^2|^(1/2)
+        one = Mat.identity(2)
         for m in (a, b, c):
-            assert abs(spectral_radius(m) - 1.0) <= 1e-9
+            assert m @ m == -one
         grid = [Q(1), Q(-1), Q(0, 1), Q(0, -1), Q(1, 1)]
         for x, y in ((a, b), (b, c), (a, c)):
+            assert (x @ y + y @ x).is_zero()
             for lam in grid:
                 for mu in grid:
-                    got = spectral_radius(x.scale(lam) + y.scale(mu))
-                    want = abs(complex(lam * lam + mu * mu)) ** 0.5
-                    assert abs(got - want) <= 1e-9
+                    z = x.scale(lam) + y.scale(mu)
+                    assert z @ z == one.scale(-(lam * lam + mu * mu))
 
 
 def test_criterion_02_weight_graded_sl2():

@@ -169,15 +169,23 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["structure"] == "subgraded"
 
 
-def test_example_run_does_not_import_scipy():
-    # scipy serves only the numeric Schur reduction, which no CLI command reaches
+def test_example_run_does_not_import_scipy(capsys, tmp_path):
+    # no command needs scipy: with it unimportable, each run prints what it prints here
+    commands = [["example", "pauli"]]
+    for name in ("pauli", "e1"):
+        assert main(["example", name, "--emit"]) == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(capsys.readouterr().out)
+        commands += [[command, "--input", str(path)] for command in ("analyze", "triangularize", "irreducible")]
+    codes = [main(argv) for argv in commands]
+    printed = capsys.readouterr().out
     src = str(Path(gradelie.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from gradelie.cli import main\n"
-        "code = main(['example', 'pauli'])\n"
-        "print('scipy' in sys.modules, code)\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -185,8 +193,8 @@ def test_example_run_does_not_import_scipy():
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "False 0"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + f"{codes}\n"
 
 
 FAULT_DOCS = {

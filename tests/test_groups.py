@@ -3,7 +3,7 @@ import itertools
 from gradelie.matrices import Mat
 from gradelie.groups import (
     FinAbGroup,
-    noncyclic_pairs,
+    cyclic_pair,
     regular_rep,
 )
 
@@ -30,6 +30,12 @@ def test_invariant_factors_and_cyclicity():
     assert FinAbGroup([4, 6]).invariant_factors() == (2, 12)
 
 
+def noncyclic_pairs(group):
+    """The ordered pairs of elements that lie in no common cyclic subgroup."""
+    elems = group.elements()
+    return {(a, b) for a in elems for b in elems if not cyclic_pair(group, a, b)}
+
+
 def test_noncyclic_pairs():
     assert noncyclic_pairs(FinAbGroup([7])) == set()
     assert noncyclic_pairs(FinAbGroup(())) == set()
@@ -44,6 +50,12 @@ def test_noncyclic_pairs_empty_iff_cyclic():
     for moduli in [(2,), (5,), (2, 3), (2, 2), (2, 4), (3, 3), (4, 2)]:
         g = FinAbGroup(moduli)
         assert (len(noncyclic_pairs(g)) == 0) == g.is_cyclic()
+    # the predicate agrees with the subgroup's largest element order
+    for moduli in [(2, 4), (4, 6), (3, 3)]:
+        g = FinAbGroup(moduli)
+        for a, b in itertools.product(g.elements(), repeat=2):
+            sub = g.subgroup([a, b])
+            assert cyclic_pair(g, a, b) == (max(g.element_order(x) for x in sub) == len(sub))
 
 
 def test_regular_rep():

@@ -303,17 +303,23 @@ def test_one_commutator_per_algebra(monkeypatch):
         assert _brackets_of(calls, derived_series, algebra) == fresh_derived - commutator
 
 
-def test_series_of_a_subspace_that_is_not_closed_are_unbounded():
-    # [M, M] lies outside M, and C_2 = [M, C_1] is larger than C_1: bounding
-    # C_2 by dim C_1 would stop it at one bracket
+def test_series_of_a_subspace_that_is_not_closed_are_refused():
+    # [M, M] leaves M in each; unrefused, the later steps of the lower central
+    # series are unbounded: the first C_2 is larger than C_1, the second cycles
+    # between span{E01, E10} and span{E00 - E11}, and the third drifts through
+    # span{E01 + 2^(k-1) E12, E02} without repeating
     from gradelie.subspaces import MatSubspace
 
-    m = MatSubspace.from_matrices(
-        [Mat.from_rows([[0, 0, -1], [0, -1, -1], [0, 0, 1]]), Mat.from_rows([[0, 0, -1], [0, 0, 0], [0, 0, -1]])]
-    )
-    assert [t.dim for t in lower_central_series(m).terms] == [2, 1, 2, 2]
-    assert derived_series(m).terms == _series_oracle(m, derived=True)
-    assert lower_central_series(m).terms == _series_oracle(m, derived=False)
+    subspaces = [
+        [Mat.from_rows([[0, 0, -1], [0, -1, -1], [0, 0, 1]]), Mat.from_rows([[0, 0, -1], [0, 0, 0], [0, 0, -1]])],
+        [E(2, 0, 1), E(2, 1, 0)],
+        [Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 3]]), -E(3, 0, 1) - E(3, 1, 2).scale(Fraction(1, 2))],
+    ]
+    for mats in subspaces:
+        m = MatSubspace.from_matrices(mats)
+        for series in (derived_series, lower_central_series):
+            with pytest.raises(NotClosedError):
+                series(m)
 
 
 def test_solvability_wrappers():

@@ -1,10 +1,9 @@
 import random
 
-import numpy as np
 import pytest
 
 from gradelie.scalars import Q
-from gradelie.matrices import Mat, to_numeric
+from gradelie.matrices import Mat
 from gradelie.subspaces import canonicalize, mat_inverse
 from gradelie.lie import PreconditionError, is_solvable, lie_closure
 from gradelie.spectral import (
@@ -12,8 +11,6 @@ from gradelie.spectral import (
     TriangularizationError,
     assoc_closure_dim,
     decide_irreducible,
-    eig_numeric,
-    spectral_radius,
     triangularize_solvable,
     verify_flag,
 )
@@ -26,55 +23,6 @@ def pauli():
     b = Mat.from_rows([[Q(0), Q(0, -1)], [Q(0, -1), Q(0)]])
     c = Mat.from_rows([[Q(0, -1), Q(0)], [Q(0), Q(0, 1)]])
     return a, b, c
-
-
-def test_eig_examples():
-    vals = sorted(eig_numeric(Mat.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])), key=lambda z: z.real)
-    assert np.allclose(vals, [1, 2, 3])
-    a, _, _ = pauli()
-    va = sorted(eig_numeric(a), key=lambda z: z.imag)
-    assert np.allclose(va, [-1j, 1j], atol=1e-9)
-    nil = Mat.from_rows([[0, 1, 7], [0, 0, 3], [0, 0, 0]])
-    assert max(abs(v) for v in eig_numeric(nil)) < 1e-9
-
-
-def test_spectral_radius_examples():
-    assert spectral_radius(Mat.zeros(3)) == 0.0
-    a, b, c = pauli()
-    for m in (a, b, c):
-        assert spectral_radius(m) == pytest.approx(1.0, abs=1e-9)
-    grid = [Q(1), Q(-1), Q(0, 1), Q(0, -1), Q(1, 1)]
-    for x, y in ((a, b), (b, c), (a, c)):
-        for lam in grid:
-            for mu in grid:
-                m = x.scale(lam) + y.scale(mu)
-                want = abs(complex(lam * lam + mu * mu)) ** 0.5
-                assert spectral_radius(m) == pytest.approx(want, abs=1e-9)
-
-
-def test_spectral_radius_below_norm():
-    rng = random.Random(17)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = Mat.from_int_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        fro = float(np.linalg.norm(to_numeric(m)))
-        assert spectral_radius(m) <= fro + 1e-9
-
-
-def test_radius_subadditive_on_solvable_not_on_sl2():
-    from gradelie.generators import gen_solvable
-
-    for seed in range(10):
-        algebra = gen_solvable(3, seed)
-        basis = list(algebra.basis_mats)
-        rng = random.Random(seed)
-        for _ in range(5):
-            x = basis[rng.randrange(len(basis))]
-            y = basis[rng.randrange(len(basis))]
-            assert spectral_radius(x + y) <= spectral_radius(x) + spectral_radius(y) + 1e-7
-    e, f = E(2, 0, 1), E(2, 1, 0)
-    assert spectral_radius(e + f) == pytest.approx(1.0, abs=1e-9)
-    assert spectral_radius(e) + spectral_radius(f) < 1e-9
 
 
 def test_assoc_closure_dims():

@@ -57,6 +57,20 @@ def test_bracket_powers_of_abelian():
     assert is_lie_n_product_system(m, 2)
 
 
+def test_bracket_powers_reuse_the_commutator(monkeypatch):
+    from gradelie import matrices, structures
+    from gradelie.lie import commutator_span
+
+    calls = []
+    for module in (matrices, structures):
+        monkeypatch.setattr(module, "bracket", lambda a, b, real=bracket: calls.append(1) or real(a, b))
+    _, _, m = e2_system()
+    commutator_span(m)
+    del calls[:]
+    assert mat_span(m_bracket_powers(m, 2)) == commutator_span(m)
+    assert calls == []
+
+
 def test_weight_pair_powers():
     e = E(2, 0, 1)
     f = E(2, 1, 0).scale(Fraction(1, 2))

@@ -9,7 +9,9 @@ directory, so the repository itself is left untouched.  The record names both
 revisions (the change side as ``HEAD`` plus whether the working tree had
 uncommitted edits) and holds the seed, the run length, the pair count, the
 last JSON line of every run, and per side and metric the median and
-quartiles, plus how many pairs the change won.
+quartiles, plus how many pairs the change won.  Each metric also gets the
+base's spread, the signed median change and a verdict against its
+``BENCHMARK.json`` bound (see ``summarize``).
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
         --seed 4242 --out BENCH_lie_series.json
@@ -52,23 +54,50 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
+def summarize(runs: list[dict], metrics: dict) -> dict:
+    """Per side and metric the median and quartiles, the pairs the change
+    won, and per metric a verdict against the ``BENCHMARK.json`` bound.
+
+    ``metrics`` maps each end-to-end metric to its ``better`` direction and
+    ``bound``.  The verdict is the first that holds of: ``worse``, the
+    change's median is worse than the base's by more than the bound;
+    ``better``, the change wins nine tenths of the pairs and the medians
+    differ by more than the base's interquartile range; ``unresolved``, the
+    base's spread (q3 - q1) / median exceeds the bound and not every change
+    run beats every base run; ``no worse``.
+    """
     out = {}
     for side in ("base", "change"):
         results = [r["result"] for r in runs if r["side"] == side]
         out[side] = {"failed": sum(r["failed"] for r in results),
                      "correct": all(r["correct"] for r in results)}
-        for name in better:
+        for name in metrics:
             values = [r["metrics"][name]["value"] for r in results]
             q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             out[side][name] = {"median": median, "q1": q1, "q3": q3}
     wins = {}
+    verdicts = {}
     pairs = sorted({r["pair"] for r in runs})
-    for name, direction in better.items():
-        sign = 1 if direction == "higher" else -1
-        value = {(r["pair"], r["side"]): r["result"]["metrics"][name]["value"] for r in runs}
-        wins[name] = sum(sign * (value[p, "change"] - value[p, "base"]) > 0 for p in pairs)
+    for name, spec in metrics.items():
+        sign = 1 if spec["better"] == "higher" else -1
+        # goodness: larger is better on either side
+        good = {(r["pair"], r["side"]): sign * r["result"]["metrics"][name]["value"] for r in runs}
+        wins[name] = sum(good[p, "change"] > good[p, "base"] for p in pairs)
+        base, change = out["base"][name], out["change"][name]
+        iqr = base["q3"] - base["q1"]
+        spread = iqr / base["median"]
+        median_change = (change["median"] - base["median"]) / base["median"]
+        if -sign * median_change > spec["bound"]:
+            verdict = "worse"
+        elif 10 * wins[name] >= 9 * len(pairs) and sign * (change["median"] - base["median"]) > iqr:
+            verdict = "better"
+        elif spread > spec["bound"] and min(good[p, "change"] for p in pairs) <= max(good[p, "base"] for p in pairs):
+            verdict = "unresolved"
+        else:
+            verdict = "no worse"
+        verdicts[name] = {"base_spread": spread, "median_change": median_change, "verdict": verdict}
     out["change_wins_pairs"] = wins
+    out["verdicts"] = verdicts
     return out
 
 
@@ -80,7 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     record = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,7 +125,7 @@ def main(argv=None) -> int:
                     result = run_once(checkout, workload, args.seed, seconds)
                     runs.append({"pair": pair, "side": side, "result": result})
                     print(workload, pair, side, result["metrics"]["ops_per_s"]["value"], file=sys.stderr)
-            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
