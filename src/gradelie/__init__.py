@@ -39,6 +39,7 @@ from .lie import (
     is_solvable,
     lie_closure,
     lower_central_series,
+    require_closed,
 )
 from .grading import (
     AmpliationResult,

@@ -35,8 +35,8 @@ from .lie import (
 from .grading import GradingError, SubgradedAlgebra
 from .structures import (
     MatSubspace,
+    bracket_power_spans,
     is_jordan_algebra,
-    is_lie_n_product_system,
     is_lie_triple_system,
 )
 from .spectral import (
@@ -133,8 +133,9 @@ def _analyze_subspace(m: MatSubspace, tag: str) -> tuple[dict, int]:
     }
     if tag == "jordan":
         report["jordan_algebra"] = is_jordan_algebra(m)
+    powers = bracket_power_spans(m, 5)
     report["bracket_power_containment"] = {
-        str(k): is_lie_n_product_system(m, k) for k in range(2, 6)
+        str(k): m.span.contains_subspace(powers[k - 1]) for k in range(2, 6)
     }
     envelope = lie_closure(list(m.basis_mats), ambient_dim=m.ambient_dim)
     report["envelope_dim"] = envelope.dim

@@ -20,7 +20,7 @@ from .scalars import GaussianRational, ScalarParseError, format_scalar, parse_sc
 from .matrices import Mat
 from .groups import FinAbGroup
 from .subspaces import LieAlgebra, MatSubspace, span_basis_mats
-from .lie import lie_closure
+from .lie import lie_closure, require_closed
 from .grading import SubgradedAlgebra, verify_subgrading
 
 __all__ = [
@@ -203,13 +203,15 @@ def loads_document(text: str) -> AlgebraDocument:
 
     try:
         data = json.loads(text, object_pairs_hook=pairs_hook, parse_int=_parse_int)
+        for obj, key in repeated:
+            # an object under a key that was itself repeated may be gone
+            path = _path_to(data, obj)
+            if path is not None:
+                raise DocumentError(path, f"duplicate key {key!r}")
     except json.JSONDecodeError as exc:
         raise DocumentError(f"$ (line {exc.lineno}, column {exc.colno})", exc.msg)
-    for obj, key in repeated:
-        # an object under a key that was itself repeated may be gone
-        path = _path_to(data, obj)
-        if path is not None:
-            raise DocumentError(path, f"duplicate key {key!r}")
+    except RecursionError:
+        raise DocumentError("$", "arrays and objects are nested too deeply") from None
     return parse_document(data)
 
 
@@ -258,7 +260,7 @@ def materialize(doc: AlgebraDocument):
     if doc.structure == "subgraded":
         if doc.components is not None:
             all_mats = [m for mats in doc.components.values() for m in mats]
-            algebra = LieAlgebra.from_matrices(all_mats, doc.ambient_dim, verify=True)
+            algebra = require_closed(LieAlgebra.from_matrices(all_mats, doc.ambient_dim))
             return verify_subgrading(algebra, doc.group, doc.components)
         algebra = lie_closure(list(doc.generators), ambient_dim=doc.ambient_dim)
         return verify_subgrading(

@@ -6,17 +6,17 @@ alone, and solvability runs through the derived series.  One series engine,
 ``_series``, computes the derived and lower central series of a graded
 algebra degree by degree from the pairs ``matrices.bracket_pairs`` gives; an
 ungraded algebra is its one component {(): L}.  [L, L] is bracketed once per
-algebra object: ``commutator_span`` keeps it on the ``MatSubspace``, and both
-series and the trace test read it there.  The series are taken of
-bracket-closed subspaces only: a subspace whose [L, L] leaves it is refused
-with ``NotClosedError``.  So every term lies in the one before, each later
-step stops bracketing a degree when its span reaches that dimension, and a
-series of L ends within dim L + 2 terms.  The quantified hypothesis
-"every element of this subspace is nilpotent" is decided by three exact
-stages: a seeded integer combination that is not nilpotent refutes it (an
-exact certificate, not a sample), a product chain V, V V, V V V, ... that
-vanishes proves it, and the polarized trace identities decide what neither
-settles.
+algebra object: ``commutator_span`` keeps it on the ``MatSubspace``, and the
+closure check ``require_closed``, both series and the trace test read it
+there.  The series are taken of bracket-closed subspaces only: a subspace
+whose [L, L] leaves it is refused with ``NotClosedError``.  So every term
+lies in the one before, each later step stops bracketing a degree when its
+span reaches that dimension, and a series of L ends within dim L + 2 terms.
+The quantified hypothesis "every element of this subspace is nilpotent" is
+decided by three exact stages: a seeded integer combination that is not
+nilpotent refutes it (an exact certificate, not a sample), a product chain
+V, V V, V V V, ... that vanishes proves it, and the polarized trace
+identities decide what neither settles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .matrices import (
 from .subspaces import (
     LieAlgebra,
     MatSubspace,
-    NotClosedError,
     Subspace,
     _Echelon,
     mat_span,
@@ -61,10 +60,15 @@ __all__ = [
     "is_ideal",
     "is_scalar_set",
     "jordan_product",
+    "require_closed",
     "NotClosedError",
     "NormalizerError",
     "PreconditionError",
 ]
+
+
+class NotClosedError(ValueError):
+    """A set of matrices expected to be bracket-closed is not."""
 
 
 class NormalizerError(ValueError):
@@ -228,6 +232,14 @@ def commutator_span(m: MatSubspace) -> Subspace:
         # the slot caches a function of the span; MatSubspace is otherwise immutable
         object.__setattr__(m, "commutator", spans.get((), Subspace.zero(n * n)))
     return m.commutator
+
+
+def require_closed(m: MatSubspace) -> MatSubspace:
+    """``m`` itself when [M, M] lies in M, else ``NotClosedError``; either way
+    [M, M] stays kept on ``m``, so what reads it later brackets nothing again."""
+    if not m.span.contains_subspace(commutator_span(m)):
+        raise NotClosedError("matrix set is not closed under the commutator")
+    return m
 
 
 def derived_subalgebra_mats(algebra: LieAlgebra) -> list[Mat]:

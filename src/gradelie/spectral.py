@@ -27,12 +27,7 @@ from .subspaces import (
     span_closure,
     stack_vertical,
 )
-from .lie import (
-    LieAlgebra,
-    PreconditionError,
-    derived_subalgebra_mats,
-    is_solvable,
-)
+from .lie import LieAlgebra, PreconditionError, commutator_span, is_solvable
 
 __all__ = [
     "Flag",
@@ -287,42 +282,33 @@ def _eigenvalue_candidates(z: Mat) -> list[GaussianRational]:
     return out
 
 
-def _common_eigenvector(mats: Sequence[Mat], m: int) -> Mat:
-    """A joint eigenvector of a solvable set, exact, as a column; recursion on
-    the algebra dim."""
-    e1 = Mat.identity(m).block(0, m, 0, 1)
-    live = [a for a in mats if not a.is_zero()]
-    if not live:
-        return e1
-    # the inputs span a closed algebra: a basis, its compression to a
-    # quotient, or an ideal containing [L, L]
-    algebra = LieAlgebra.from_matrices(live, m)
+def _common_eigenvector(algebra: LieAlgebra) -> Mat:
+    """A joint eigenvector of a solvable algebra, exact, as a column.
+
+    Lie's descent: K, [L, L] (read where ``is_solvable`` or the level above
+    kept it) extended by basis elements in order to codimension one, is an
+    ideal.  The weight space of K's joint eigenvector, found by recursion, is
+    invariant under L, and an eigenvector there of z, the first basis element
+    outside K, is one of all of L.
+    """
+    m = algebra.ambient_dim
     d = algebra.dim
     if d == 0:
-        return e1
-    derived = derived_subalgebra_mats(algebra)
-    ech = _Echelon(m * m)
-    k_mats: list[Mat] = []
-    for w in derived:
-        if ech.add(w):
-            k_mats.append(w)
-    z_mat = None
+        return Mat.identity(m).block(0, m, 0, 1)
+    ech = commutator_span(algebra)._echelon()
     for b in algebra.basis_mats:
-        if len(k_mats) == d - 1:
-            # the rest of the basis stays outside; pick the first independent one as z
-            if not ech.add(b):
-                continue
-            z_mat = b
+        if len(ech.rows) >= d - 1:
             break
-        if ech.add(b):
-            k_mats.append(b)
-    if z_mat is None:
+        ech.add(b)
+    if len(ech.rows) != d - 1:
         raise TriangularizationError("could not split a codimension-one ideal")
-    v = _common_eigenvector(k_mats, m)
+    z_mat = ech.outside(algebra.basis_mats)
+    ideal = LieAlgebra.from_span(ech.subspace(), m)
+    v = _common_eigenvector(ideal)
     # joint weight space of the ideal at v
     shifted: list[Mat] = []
     pivot = next(i for i in range(m) if v.entry(i, 0))
-    for k in k_mats:
+    for k in ideal.basis_mats:
         kv = k @ v
         lam = kv.entry(pivot, 0) / v.entry(pivot, 0)
         if kv != v.scale(lam):
@@ -355,18 +341,23 @@ def _common_eigenvector(mats: Sequence[Mat], m: int) -> Mat:
 
 
 def triangularize_solvable(algebra: LieAlgebra) -> Flag:
-    """A maximal invariant flag for a solvable algebra, with exact verification."""
+    """A maximal invariant flag for a solvable algebra, with exact verification.
+
+    The first block is the algebra itself, whose [L, L] ``is_solvable`` has
+    just kept; each deflated block is spanned once."""
     if not is_solvable(algebra):
         raise PreconditionError("algebra is not solvable")
     n = algebra.ambient_dim
     u = Mat.identity(n)
-    current = list(algebra.basis_mats)
+    block = algebra
     for step in range(n - 1):
         m = n - step
-        b = _complete_basis(_common_eigenvector(current, m), m)
+        if step:
+            block = LieAlgebra.from_matrices(nxt, m)
+        b = _complete_basis(_common_eigenvector(block), m)
         b_inv = mat_inverse(b)
         nxt = []
-        for a in current:
+        for a in block.basis_mats:
             t = b_inv @ a @ b
             if not t.block(1, m, 0, 1).is_zero():
                 raise TriangularizationError("eigenvector step failed verification")
@@ -374,7 +365,6 @@ def triangularize_solvable(algebra: LieAlgebra) -> Flag:
             nxt.append(t.block(1, m, 1, m))
         # u @ block-diag(I_step, b): the trailing columns times b
         u = _hstack([u.block(0, n, 0, step), u.block(0, n, step, n) @ b])
-        current = nxt
     flag = Flag(tuple(_leading_spans(u)), u)
     report = verify_flag(list(algebra.basis_mats), flag, 0.0)
     if not report.all_ok:

@@ -12,9 +12,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .matrices import Mat, bracket, bracket_pairs, jordan_product
-from .subspaces import MatSubspace, mat_span, span_basis_mats, span_closure, subspace_sum
+from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats, span_closure, subspace_sum
 from .groups import FinAbGroup
-from .lie import LieAlgebra, NotClosedError, PreconditionError, commutator_span, is_ideal
+from .lie import (
+    _TRIVIAL,
+    LieAlgebra,
+    NotClosedError,
+    PreconditionError,
+    _bracket_spans,
+    commutator_span,
+    is_ideal,
+    require_closed,
+)
 from .grading import SubgradedAlgebra, verify_subgrading
 
 __all__ = [
@@ -23,6 +32,7 @@ __all__ = [
     "triple_products",
     "jordan_products",
     "is_lie_triple_system",
+    "bracket_power_spans",
     "m_bracket_powers",
     "is_lie_n_product_system",
     "triple_envelope",
@@ -62,26 +72,30 @@ def is_lie_triple_system(m: MatSubspace) -> bool:
     return m.span.contains_all(triple_products(m.basis_mats))
 
 
-def m_bracket_powers(m: MatSubspace, k: int) -> list[Mat]:
-    """A basis of span M^[k], built level by level from basis brackets;
-    M^[2] = [M, M] is the commutator span kept on ``m``."""
+def bracket_power_spans(m: MatSubspace, k: int) -> list[Subspace]:
+    """span M^[1], ..., span M^[k] from one walk: M^[2] = [M, M] is the
+    commutator span kept on ``m``, and M^[j+1] = [M, M^[j]] on basis pairs."""
     if k < 1:
         raise ValueError("bracket power index starts at 1")
-    level = list(m.basis_mats) if k == 1 else span_basis_mats(commutator_span(m), m.ambient_dim)
-    for _ in range(k - 2):
-        nxt = [bracket(a, b) for a in m.basis_mats for b in level]
-        nxt = [w for w in nxt if not w.is_zero()]
-        if not nxt:
-            return []
-        level = span_basis_mats(mat_span(nxt, m.ambient_dim), m.ambient_dim)
-    return level
+    n = m.ambient_dim
+    spans = [m.span, commutator_span(m)] if k > 1 else [m.span]
+    while len(spans) < k:
+        level = {(): span_basis_mats(spans[-1], n)}
+        nxt = _bracket_spans(bracket_pairs({(): m.basis_mats}, level), n, _TRIVIAL.add)
+        spans.append(nxt.get((), Subspace.zero(n * n)))
+    return spans
+
+
+def m_bracket_powers(m: MatSubspace, k: int) -> list[Mat]:
+    """A basis of span M^[k]."""
+    return span_basis_mats(bracket_power_spans(m, k)[-1], m.ambient_dim)
 
 
 def is_lie_n_product_system(m: MatSubspace, n: int) -> bool:
     """True iff span M^[n] lies inside span M."""
     if n < 2:
         raise ValueError("product-system index starts at 2")
-    return m.span.contains_all(m_bracket_powers(m, n))
+    return m.span.contains_subspace(bracket_power_spans(m, n)[-1])
 
 
 def triple_envelope(m: MatSubspace) -> LieAlgebra:
@@ -89,9 +103,7 @@ def triple_envelope(m: MatSubspace) -> LieAlgebra:
     if not is_lie_triple_system(m):
         raise PreconditionError("subspace is not closed under the triple product")
     total = subspace_sum(m.span, commutator_span(m))
-    return LieAlgebra.from_matrices(
-        span_basis_mats(total, m.ambient_dim), m.ambient_dim, verify=True
-    )
+    return require_closed(LieAlgebra.from_span(total, m.ambient_dim))
 
 
 def triple_to_z2(m: MatSubspace) -> SubgradedAlgebra:
@@ -141,9 +153,7 @@ def jordan_ideal_chain(j: MatSubspace, i: MatSubspace) -> JordanIdealChain:
     live = [w for w in cross if not w.is_zero()]
     mixed_span = subspace_sum(i.span, mat_span(live, j.ambient_dim))
     try:
-        lji = LieAlgebra.from_matrices(
-            span_basis_mats(mixed_span, j.ambient_dim), j.ambient_dim, verify=True
-        )
+        lji = require_closed(LieAlgebra.from_span(mixed_span, j.ambient_dim))
     except NotClosedError as exc:
         raise IdealChainError(f"I + [J, I] is not bracket-closed: {exc}") from exc
     if not lji.span.contains_subspace(li.span):

@@ -7,7 +7,8 @@ per row) and skips zero coefficients, which keeps block-structured inputs
 cheap.  This module is the only one that knows that row format: everything
 else hands it matrices (read row-major) or vectors.  MatSubspace, a subspace
 of gl(n) with its canonical matrix basis, is defined here too; a Lie algebra
-is a bracket-closed one, and ``LieAlgebra`` names the same class.
+is a bracket-closed one, which ``lie.require_closed`` decides, and
+``LieAlgebra`` names the same class.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Mat, ShapeError, bracket_pairs
+from .matrices import Mat, ShapeError
 from .scalars import GaussianRational
 
 __all__ = [
     "Subspace",
     "MatSubspace",
     "LieAlgebra",
-    "NotClosedError",
     "canonicalize",
     "subspace_sum",
     "subspace_intersect",
@@ -466,18 +466,15 @@ def span_basis_mats(s: Subspace, n: int) -> list[Mat]:
     return out
 
 
-class NotClosedError(ValueError):
-    """A set of matrices expected to be bracket-closed is not."""
-
-
 class MatSubspace:
     """A subspace of gl(n) with a canonical matrix basis.
 
-    No closure is assumed.  A Lie algebra is a bracket-closed one: build it
-    with ``from_matrices(..., verify=True)``, or with ``from_span`` when the
-    span is known to be closed.  ``LieAlgebra`` names this same class.
-    ``commutator`` holds [M, M] once ``lie.commutator_span`` has computed it;
-    it is a function of the span, so filling it leaves the object unchanged.
+    No closure is assumed.  A Lie algebra is a bracket-closed one:
+    ``lie.require_closed`` checks a span not known to be closed.
+    ``LieAlgebra`` names this same class.  ``commutator`` holds [M, M] once
+    ``lie.commutator_span`` has computed it; it is a function of the span, so
+    filling it leaves the object unchanged.  The closure check, the series and
+    the triangularization all read it there.
     """
 
     __slots__ = ("ambient_dim", "basis_mats", "span", "commutator")
@@ -492,21 +489,14 @@ class MatSubspace:
         raise AttributeError("MatSubspace is immutable")
 
     @classmethod
-    def from_matrices(
-        cls, mats: Sequence[Mat], ambient_dim: int | None = None, verify: bool = False
-    ) -> "MatSubspace":
-        """The span of the matrices; with verify, NotClosedError unless bracket-closed."""
+    def from_matrices(cls, mats: Sequence[Mat], ambient_dim: int | None = None) -> "MatSubspace":
+        """The span of the matrices, closure unchecked."""
         mats = [m for m in mats if not m.is_zero()]
         if ambient_dim is None:
             if not mats:
                 raise ValueError("ambient_dim required for the zero subspace")
             ambient_dim = mats[0].n_rows
-        sub = cls.from_span(mat_span(mats, ambient_dim), ambient_dim)
-        if verify:
-            for _, _, brackets in bracket_pairs({(): sub.basis_mats}):
-                if not sub.span.contains_all(brackets):
-                    raise NotClosedError("matrix set is not closed under the commutator")
-        return sub
+        return cls.from_span(mat_span(mats, ambient_dim), ambient_dim)
 
     @classmethod
     def from_span(cls, span: Subspace, ambient_dim: int) -> "MatSubspace":

@@ -56,3 +56,13 @@ def test_verdicts_on_a_hand_made_record():
     assert verdicts["peak_rss_mb"]["median_change"] == 0.0125
     assert verdicts["op_tail_ms"]["base_spread"] == 10 / 15
     assert verdicts["op_p50_ms"]["base_spread"] == 0.0
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "gradelie"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -224,6 +224,34 @@ def test_invalid_algebras_are_reported_not_raised(capsys, tmp_path, fault, comma
     assert ("witness_bracket" in report) == (fault == "grading")
 
 
+# exit code and sha256 of `grade-check` and `analyze --report json` on the
+# document that is not bracket-closed: they pin the closure check's report
+NOT_CLOSED_JSON_SHA256 = {
+    "grade-check": (1, "7cfec7776f9c7d746f64827f3972e677eed8214004cb003bf8d0914f62d89a25"),
+    "analyze": (1, "7cfec7776f9c7d746f64827f3972e677eed8214004cb003bf8d0914f62d89a25"),
+}
+
+
+def test_not_closed_report_is_byte_stable(capsys, tmp_path):
+    path = tmp_path / "not-closed.json"
+    path.write_text(json.dumps(FAULT_DOCS["not-closed"]))
+    for command, (code, want) in NOT_CLOSED_JSON_SHA256.items():
+        assert main([command, "--input", str(path), "--report", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, command
+
+
+@pytest.mark.parametrize("command", ["analyze", "grade-check", "triangularize", "irreducible"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    for text in ("[" * 100000 + "]" * 100000, '{"a":' * 50000 + "1" + "}" * 50000):
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: $")
+
+
 def _input_error(capsys, tmp_path, text) -> str:
     path = tmp_path / "doc.json"
     path.write_text(text)

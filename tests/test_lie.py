@@ -22,6 +22,7 @@ from gradelie.lie import (
     is_solvable,
     lie_closure,
     lower_central_series,
+    require_closed,
 )
 
 E = Mat.unit
@@ -151,7 +152,7 @@ def test_closure_brackets_only_with_the_generators(monkeypatch):
 
 def test_from_matrices_verifies_closure():
     with pytest.raises(NotClosedError):
-        LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)], verify=True)
+        require_closed(LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)]))
 
 
 def test_ad_matrix_examples():
@@ -301,6 +302,54 @@ def test_one_commutator_per_algebra(monkeypatch):
         assert _brackets_of(calls, cartan_test, algebra) == 0
         assert _brackets_of(calls, lower_central_series, algebra) == fresh_lower - commutator
         assert _brackets_of(calls, derived_series, algebra) == fresh_derived - commutator
+
+
+def test_closure_checks_keep_the_commutator(monkeypatch):
+    # the closure check of a components document or of a triple envelope keeps
+    # [L, L], and so does is_solvable for the triangularization after it
+    from gradelie import matrices
+    from gradelie.documents import document_from, materialize
+    from gradelie.examples import build_example
+    from gradelie.generators import gen_nilpotent_jordan, gen_nilpotent_triple, gen_solvable, gen_weight_graded
+    from gradelie.lie import commutator_span
+    from gradelie.spectral import triangularize_solvable
+    from gradelie.structures import triple_envelope
+    from gradelie.subspaces import MatSubspace
+
+    calls = _count_brackets(monkeypatch)
+
+    def skipped(algebra):
+        """The brackets is_solvable skips on the algebra, against a fresh copy: [L, L]'s."""
+        def fresh():
+            return LieAlgebra.from_span(algebra.span, algebra.ambient_dim)
+
+        commutator = _brackets_of(calls, commutator_span, fresh())
+        unchecked = _brackets_of(calls, is_solvable, fresh())
+        assert _brackets_of(calls, is_solvable, algebra) == unchecked - commutator
+        return commutator
+
+    for name in ("pauli", "e1"):
+        assert skipped(materialize(build_example(name)).algebra) > 0
+    for moduli in ([2], [3], [2, 2]):
+        for seed in range(3):
+            skipped(materialize(document_from(gen_weight_graded(4, moduli, seed))).algebra)
+    upper = MatSubspace.from_matrices([E(2, 0, 0), E(2, 0, 1), E(2, 1, 1)])
+    assert skipped(triple_envelope(upper)) > 0
+    for seed in range(3):
+        for m in (gen_nilpotent_triple(4, seed), gen_nilpotent_jordan(4, seed)):
+            skipped(triple_envelope(m))
+    # after is_solvable, the triangularization reads [L, L] and does not
+    # bracket every pair of L's basis again
+    pairs = []
+    counting = matrices.bracket
+    monkeypatch.setattr(matrices, "bracket", lambda a, b: pairs.append({a, b}) or counting(a, b))
+    for algebra in (heisenberg(), gen_solvable(3, 0), gen_solvable(4, 1), gen_solvable(5, 0)):
+        assert is_solvable(algebra)
+        del pairs[:]
+        triangularize_solvable(algebra)
+        basis = algebra.basis_mats
+        every_pair = [{a, b} for i, a in enumerate(basis) for b in basis[i + 1 :]]
+        assert every_pair and not all(p in pairs for p in every_pair)
 
 
 def test_series_of_a_subspace_that_is_not_closed_are_refused():

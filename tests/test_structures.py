@@ -10,6 +10,7 @@ from gradelie.groups import FinAbGroup
 from gradelie.grading import verify_subgrading
 from gradelie.structures import (
     MatSubspace,
+    bracket_power_spans,
     is_jordan_algebra,
     is_jordan_ideal,
     is_lie_n_product_system,
@@ -55,6 +56,30 @@ def test_bracket_powers_of_abelian():
     m = MatSubspace.from_matrices([E(3, 0, 1), E(3, 0, 2)])
     assert m_bracket_powers(m, 2) == []
     assert is_lie_n_product_system(m, 2)
+
+
+def test_bracket_powers_come_from_one_walk(monkeypatch):
+    # every level of one walk equals the level-by-level oracle; the walk to
+    # M^[5] brackets the pairs of M's basis once and then each basis element
+    # with the basis of each level once: 1 + 2 * (1 + 2 + 3) on e2's subspace
+    from gradelie import matrices
+    from gradelie.generators import gen_nilpotent_triple
+    from gradelie.subspaces import span_basis_mats
+
+    calls = []
+    real = matrices.bracket
+    monkeypatch.setattr(matrices, "bracket", lambda a, b: calls.append(1) or real(a, b))
+    subspaces = [e2_system()[2]] + [gen_nilpotent_triple(n, seed) for n in (3, 4) for seed in range(3)]
+    for m in subspaces:
+        n = m.ambient_dim
+        spans = bracket_power_spans(m, 6)
+        level = list(m.basis_mats)
+        for span in spans:
+            assert span == mat_span(level, n)
+            level = [real(a, b) for a in m.basis_mats for b in span_basis_mats(span, n)]
+    del calls[:]
+    bracket_power_spans(MatSubspace.from_matrices(e2_system()[:2]), 5)
+    assert len(calls) == 13
 
 
 def test_bracket_powers_reuse_the_commutator(monkeypatch):

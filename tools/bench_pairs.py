@@ -8,10 +8,10 @@ The base revision is exported with ``git archive`` into a temporary
 directory, so the repository itself is left untouched.  The record names both
 revisions (the change side as ``HEAD`` plus whether the working tree had
 uncommitted edits) and holds the seed, the run length, the pair count, the
-last JSON line of every run, and per side and metric the median and
-quartiles, plus how many pairs the change won.  Each metric also gets the
-base's spread, the signed median change and a verdict against its
-``BENCHMARK.json`` bound (see ``summarize``).
+last JSON line of every run, the line count of ``src/gradelie/*.py`` on each
+side, and per side and metric the median and quartiles, plus how many pairs
+the change won.  Each metric also gets the base's spread, the signed median
+change and a verdict against its ``BENCHMARK.json`` bound (see ``summarize``).
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
         --seed 4242 --out BENCH_lie_series.json
@@ -52,6 +52,11 @@ def export(rev: str, into: Path) -> str:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
     return sha
+
+
+def src_lines(checkout: Path) -> int:
+    """The number of lines in ``src/gradelie/*.py`` of a checkout, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "gradelie").glob("*.py"))
 
 
 def summarize(runs: list[dict], metrics: dict) -> dict:
@@ -117,6 +122,7 @@ def main(argv=None) -> int:
         record["base"] = export(args.base, base_dir)
         record["change"] = git("rev-parse", "HEAD")
         record["change_uncommitted_edits"] = bool(git("status", "--porcelain", "--untracked-files=no"))
+        record["src_lines"] = {"base": src_lines(base_dir), "change": src_lines(ROOT)}
         for workload in args.workload:
             runs = []
             for pair in range(PAIRS):
