@@ -111,15 +111,10 @@ def ad_matrix(algebra: LieAlgebra, a: Mat) -> Mat:
     n = algebra.ambient_dim
     if a.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} matrix")
-    d = algebra.dim
-    ech = algebra.span._echelon()
-    cols = []
-    for b in algebra.basis_mats:
-        coords = ech.coordinates(bracket(a, b))
-        if coords is None:
-            raise NormalizerError("element does not normalize the algebra")
-        cols.append(coords)
-    return Mat.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+    ad = algebra.span._echelon().coordinates(bracket(a, b) for b in algebra.basis_mats)
+    if ad is None:
+        raise NormalizerError("element does not normalize the algebra")
+    return ad
 
 
 # -- the series engine ------------------------------------------------------

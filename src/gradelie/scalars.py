@@ -132,11 +132,6 @@ def Q(re=0, im=0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def _int(tok: str, what: str) -> int:
     try:
         return int(tok)

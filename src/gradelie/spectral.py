@@ -323,13 +323,9 @@ def _common_eigenvector(algebra: LieAlgebra) -> Mat:
         w_ech.add(wv)
     # coordinates below come from the echelon, so the basis must too
     w_basis = w_ech.basis_mat().transpose()
-    z_cols = []
-    for zw in _columns(z_mat @ w_basis):
-        coords = w_ech.coordinates(zw)
-        if coords is None:
-            raise TriangularizationError("weight space is not invariant")
-        z_cols.append(coords)
-    z_small = Mat.from_rows(z_cols).transpose()
+    z_small = w_ech.coordinates(_columns(z_mat @ w_basis))
+    if z_small is None:
+        raise TriangularizationError("weight space is not invariant")
     t = z_small.n_rows
     for lam in _eigenvalue_candidates(z_small):
         kernel = column_kernel(z_small - Mat.identity(t).scale(lam))

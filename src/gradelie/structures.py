@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .matrices import Mat, bracket, bracket_pairs, jordan_product
-from .subspaces import MatSubspace, Subspace, mat_span, span_basis_mats, span_closure, subspace_sum
+from .subspaces import MatSubspace, Subspace, span_basis_mats, span_closure, subspace_sum
 from .groups import FinAbGroup
 from .lie import (
     _TRIVIAL,
@@ -149,9 +149,9 @@ def jordan_ideal_chain(j: MatSubspace, i: MatSubspace) -> JordanIdealChain:
         raise PreconditionError("inner subspace is not a Jordan ideal")
     li = triple_envelope(i)
     lj = triple_envelope(j)
-    cross = (bracket(a, x) for a in j.basis_mats for x in i.basis_mats)
-    live = [w for w in cross if not w.is_zero()]
-    mixed_span = subspace_sum(i.span, mat_span(live, j.ambient_dim))
+    n = j.ambient_dim
+    cross = _bracket_spans(bracket_pairs({(): j.basis_mats}, {(): i.basis_mats}), n, _TRIVIAL.add)
+    mixed_span = subspace_sum(i.span, cross.get((), Subspace.zero(n * n)))
     try:
         lji = require_closed(LieAlgebra.from_span(mixed_span, j.ambient_dim))
     except NotClosedError as exc:

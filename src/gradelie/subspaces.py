@@ -4,7 +4,9 @@ A Subspace is held as a reduced row-echelon basis, so equality of subspaces
 is plain structural equality of their basis matrices.  The elimination engine
 works on scaled Gaussian-integer rows (numerator lists plus one denominator
 per row) and skips zero coefficients, which keeps block-structured inputs
-cheap.  This module is the only one that knows that row format: everything
+cheap.  Kernels, the inverse and intersections are one augmented elimination
+(``_augmented``), and results leave as matrices built straight from the
+rows.  This module is the only one that knows that row format: everything
 else hands it matrices (read row-major) or vectors.  MatSubspace, a subspace
 of gl(n) with its canonical matrix basis, is defined here too; a Lie algebra
 is a bracket-closed one, which ``lie.require_closed`` decides, and
@@ -158,35 +160,49 @@ class _Echelon:
                 return x
         return None
 
-    def coordinates(self, x):
-        """Coefficients of x against the stored rows, or None if x is outside."""
-        row = _as_row(x, self.n_cols)
-        coords = []
-        for prow, col in zip(self.rows, self.pivots):
-            a, b = row[0][col], row[1][col]
-            coords.append(GaussianRational(Fraction(a, row[2]), Fraction(b, row[2])))
-            _row_eliminate(row, prow, col)
-        return coords if _row_is_zero(row) else None
+    def coordinates(self, items) -> Mat | None:
+        """The Mat whose column j holds the coefficients of item j (a vector,
+        or a matrix read row-major) against the stored rows, or None as soon
+        as an item is outside the span.
+
+        The rows are fully reduced with unit pivots, so those coefficients
+        are the item's own entries in the pivot columns.
+        """
+        cols = []
+        for x in items:
+            row = _as_row(x, self.n_cols)
+            re, im, den = row
+            cols.append(([re[c] for c in self.pivots], [im[c] for c in self.pivots], den))
+            if not _row_is_zero(self.reduce(row)):
+                return None
+        return _stacked(len(cols), len(self.rows), cols).transpose()
 
     def subspace(self) -> "Subspace":
         """The span of the stored rows, in canonical form."""
         return Subspace(self.n_cols, self.basis_mat())
 
     def basis_mat(self) -> Mat:
-        den = 1
-        for row in self.rows:
-            den = den * row[2] // math.gcd(den, row[2])
-        re = []
-        im = []
-        for row in self.rows:
-            f = den // row[2]
-            if f == 1:
-                re.extend(row[0])
-                im.extend(row[1])
-            else:
-                re.extend(v * f for v in row[0])
-                im.extend(v * f for v in row[1])
-        return Mat._normalized(len(self.rows), self.n_cols, re, im, den)
+        return _stacked(len(self.rows), self.n_cols, self.rows)
+
+
+def _stacked(n_rows: int, n_cols: int, parts: Sequence) -> Mat:
+    """The n_rows x n_cols Mat whose row-major entries are those of the parts,
+    each an (re, im, den) triple, laid end to end over their common
+    denominator."""
+    den = 1
+    for _, _, d in parts:
+        den = den * d // math.gcd(den, d)
+    re: list[int] = []
+    im: list[int] = []
+    for p_re, p_im, d in parts:
+        f = den // d
+        if f == 1:
+            re.extend(p_re)
+            im.extend(p_im)
+        else:
+            re.extend(v * f for v in p_re)
+            im.extend(v * f for v in p_im)
+    return Mat._normalized(n_rows, n_cols, re, im, den)
 
 
 class Subspace:
@@ -245,7 +261,8 @@ class Subspace:
 
     def coordinates(self, x):
         """Coefficients of a vector or matrix against the RREF basis, or None if outside."""
-        return self._echelon().coordinates(x)
+        col = self._echelon().coordinates([x])
+        return None if col is None else [col.entry(i, 0) for i in range(col.n_rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -280,18 +297,22 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis relation."""
+    """A ∩ B by Zassenhaus's algorithm: eliminate [a_i | a_i] and [b_j | 0].
+
+    A row dropped there is a relation sum c_i a_i + sum d_j b_j = 0, and its
+    tail sum c_i a_i = -sum d_j b_j lies in A ∩ B.  Each dropped row has a
+    nonzero coefficient on its own b_j and none on a later one, so the tails
+    are independent, and there are dim A + dim B - dim(A + B) of them.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
     k = a.ambient_dim
     a_rows = _rows_of(a.basis_rows)
-    combos = _left_kernel(a_rows + _rows_of(b.basis_rows), k)
+    b_rows = _rows_of(b.basis_rows)
+    tails = [(row[0], row[1]) for row in a_rows] + [([0] * k, [0] * k)] * len(b_rows)
     ech = _Echelon(k)
-    for combo in combos:
-        acc = [[0] * k, [0] * k, 1]
-        for coeff, row in zip(combo[: a.dim], a_rows):
-            _row_add_scaled(acc, row, coeff)
-        ech.insert(acc)
+    for tail in _augmented(a_rows + b_rows, tails, k)[1]:
+        ech.insert(tail)
     return ech.subspace()
 
 
@@ -306,7 +327,10 @@ def linear_relations(items: Sequence) -> list[list[GaussianRational]]:
     width = len(rows[0][0])
     if any(len(row[0]) != width for row in rows):
         raise ShapeError("relations among items of different lengths")
-    return _left_kernel(rows, width)
+    return [
+        [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
+        for re, im, den in _augmented(rows, _identity_tails(rows), width)[1]
+    ]
 
 
 def _rows_of(m: Mat) -> list[_Row]:
@@ -322,51 +346,31 @@ def _rows_of(m: Mat) -> list[_Row]:
     return out
 
 
-def _row_add_scaled(acc: _Row, row: _Row, coeff: GaussianRational) -> None:
-    """acc += coeff * row, in place."""
-    if coeff.is_zero():
-        return
-    p = coeff.re.numerator * coeff.im.denominator
-    q = coeff.im.numerator * coeff.re.denominator
-    d = coeff.re.denominator * coeff.im.denominator
-    a_re, a_im, a_den = acc
-    r_re, r_im, r_den = row
-    new_den = a_den * r_den * d
-    f_acc = r_den * d
-    acc[0] = [
-        x * f_acc + (p * rr - q * ri) * a_den
-        for x, rr, ri in zip(a_re, r_re, r_im)
-    ]
-    acc[1] = [
-        y * f_acc + (p * ri + q * rr) * a_den
-        for y, rr, ri in zip(a_im, r_re, r_im)
-    ]
-    acc[2] = new_den
-    _row_normalize(acc)
-
-
-def _left_kernel(rows: list[_Row], n_cols: int) -> list[list[GaussianRational]]:
-    """All coefficient vectors x with sum_i x_i * rows_i = 0, as a basis."""
-    m = len(rows)
-    ech = _Echelon(n_cols + m, pivot_limit=n_cols)
-    kernel = []
+def _identity_tails(rows: list[_Row]) -> list[tuple[list, list]]:
+    """The tails den_i * e_i: row i's tail reads e_i under its own denominator."""
+    tails = []
     for i, row in enumerate(rows):
-        # the tail entry must equal 1, i.e. den/den, under the row's denominator
-        tail_re = [0] * m
-        tail_re[i] = row[2]
-        work = [row[0] + tail_re, row[1] + [0] * m, row[2]]
+        re = [0] * len(rows)
+        re[i] = row[2]
+        tails.append((re, [0] * len(rows)))
+    return tails
+
+
+def _augmented(rows: list[_Row], tails: list[tuple[list, list]], n_cols: int) -> tuple[_Echelon, list[_Row]]:
+    """Eliminate each [row | tail], pivoting in the first ``n_cols`` columns only.
+
+    A tail is an (re, im) pair under its row's denominator.  Returns the
+    echelon and, in order, the reduced tails (as rows) of the rows whose left
+    part vanished: with the tails ``_identity_tails(rows)`` those are a basis
+    of the relations among the rows.
+    """
+    ech = _Echelon(n_cols + (len(tails[0][0]) if tails else 0), pivot_limit=n_cols)
+    dropped = []
+    for row, (t_re, t_im) in zip(rows, tails):
+        work = [row[0] + t_re, row[1] + t_im, row[2]]
         if not ech.insert(work):
-            den = work[2]
-            kernel.append(
-                [
-                    GaussianRational(
-                        Fraction(work[0][n_cols + j], den),
-                        Fraction(work[1][n_cols + j], den),
-                    )
-                    for j in range(m)
-                ]
-            )
-    return kernel
+            dropped.append([work[0][n_cols:], work[1][n_cols:], work[2]])
+    return ech, dropped
 
 
 def mat_span(mats: Sequence[Mat], n: int | None = None) -> Subspace:
@@ -410,26 +414,29 @@ def span_closure(seeds, actions, width: int) -> tuple[list, Subspace]:
 
 
 def column_kernel(m: Mat) -> list[Mat]:
-    """Basis of {x : m @ x = 0}, exact, as columns."""
-    t = m.transpose()
-    return [Mat.from_rows([c]).transpose() for c in _left_kernel(_rows_of(t), t.n_cols)]
+    """Basis of {x : m @ x = 0}, exact, as columns: the relations among the
+    columns of m, each read off one dropped tail of the augmented elimination."""
+    rows = _rows_of(m.transpose())
+    k = len(rows)
+    return [
+        Mat._normalized(k, 1, re, im, den)
+        for re, im, den in _augmented(rows, _identity_tails(rows), m.n_rows)[1]
+    ]
 
 
 def mat_inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
+    """Exact inverse of a square matrix: [m | I] reduces to [I | m^-1].
+
+    Raises ValueError when singular, which is exactly when a row is dropped:
+    n rows that keep n pivots among the first n columns pivot at 0..n-1.
+    """
     if not m.is_square():
         raise ShapeError("inverse of a non-square matrix")
     n = m.n_rows
-    ech = _Echelon(2 * n, pivot_limit=n)
-    for i, row in enumerate(_rows_of(m)):
-        tail = [0] * n
-        tail[i] = row[2]
-        work = [row[0] + tail, row[1] + [0] * n, row[2]]
-        if not ech.insert(work):
-            raise ValueError("matrix is singular")
-    if ech.pivots != list(range(n)):
+    rows = _rows_of(m)
+    ech, dropped = _augmented(rows, _identity_tails(rows), n)
+    if dropped:
         raise ValueError("matrix is singular")
-    # the rows now read [I | m^-1]
     return ech.basis_mat().block(0, n, n, 2 * n)
 
 
@@ -438,18 +445,9 @@ def stack_vertical(mats: Sequence[Mat]) -> Mat:
     if not mats:
         raise ValueError("nothing to stack")
     width = mats[0].n_cols
-    den = 1
-    for m in mats:
-        if m.n_cols != width:
-            raise ShapeError("mixed widths in stack")
-        den = den * m.den // math.gcd(den, m.den)
-    re: list[int] = []
-    im: list[int] = []
-    for m in mats:
-        f = den // m.den
-        re.extend(v * f for v in m.re)
-        im.extend(v * f for v in m.im)
-    return Mat._normalized(sum(m.n_rows for m in mats), width, re, im, den)
+    if any(m.n_cols != width for m in mats):
+        raise ShapeError("mixed widths in stack")
+    return _stacked(sum(m.n_rows for m in mats), width, [(m.re, m.im, m.den) for m in mats])
 
 
 def span_basis_mats(s: Subspace, n: int) -> list[Mat]:
