@@ -234,17 +234,22 @@ def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
     except TriangularizationError as exc:
         _emit({"triangularizable": True, "certificate": None, "error": str(exc)}, args.report)
         return 1
-    check = verify_flag(list(algebra.basis_mats), flag, args.tol)
+    if args.tol:
+        check = verify_flag(list(algebra.basis_mats), flag, args.tol)
+        verified, max_residual = check.all_ok, check.max_residual
+    else:
+        # triangularize_solvable has just checked this flag exactly
+        verified, max_residual = True, 0.0
     report = {
         "triangularizable": True,
         "chain_dims": [s.dim for s in flag.chain],
         "basis_change": _matrix_to_json(flag.basis_change),
         "chain": [_matrix_to_json(sub.basis_rows) for sub in flag.chain],
-        "verified": check.all_ok,
-        "max_residual": check.max_residual,
+        "verified": verified,
+        "max_residual": max_residual,
     }
     _emit(report, args.report)
-    return 0 if check.all_ok else 1
+    return 0 if verified else 1
 
 
 def _cmd_irreducible(doc: AlgebraDocument, args) -> int:

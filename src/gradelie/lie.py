@@ -41,6 +41,7 @@ from .subspaces import (
     Subspace,
     _Echelon,
     mat_span,
+    product_span,
     span_basis_mats,
     span_closure,
 )
@@ -273,7 +274,8 @@ def is_engel_element(algebra: LieAlgebra, a: Mat) -> bool:
 #     nilpotent associative algebra and is nil.  The chain is the
 #     certificate.  It cannot vanish when V is not simultaneously strictly
 #     triangularizable, and some nil spaces are not (Gerstenhaber 1958;
-#     Mathes, Omladic and Radjavi 1991).
+#     Mathes, Omladic and Radjavi 1991).  Each level is one
+#     subspaces.product_span, a batched int64 product where it is exact.
 # (c) Fall back.  V is nil iff tr((l_1 A_1 + ... + l_d A_d)^k) vanishes
 #     identically for k = 1..m.  The monomial coefficients of these traces are
 #     the symmetrized sums of traces of products over all orderings of each
@@ -334,11 +336,7 @@ def _nil_by_products(mats: Sequence[Mat], m_side: int) -> bool:
     """Stage (b): True when span(V W_j) reaches 0 within m_side steps."""
     level = list(mats)
     for _ in range(m_side - 1):
-        ech = _Echelon(m_side * m_side)
-        for a in mats:
-            for w in level:
-                ech.add(a @ w)
-        nxt = ech.subspace()
+        nxt = product_span(mats, level, m_side)
         if nxt.is_zero():
             return True
         level = span_basis_mats(nxt, m_side)

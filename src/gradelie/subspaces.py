@@ -19,7 +19,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Mat, ShapeError
+import numpy as np
+
+from .matrices import _INT64_SAFE, Mat, ShapeError
 from .scalars import GaussianRational
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "subspace_intersect",
     "linear_relations",
     "mat_span",
+    "product_span",
     "span_basis_mats",
     "span_closure",
     "column_kernel",
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 # A working row is [re_nums, im_nums, den]; value at j is (re[j] + im[j]*i)/den.
+# Row operations replace a row's lists and never change one in place, so rows
+# may share a list (real rows share their zero imaginary list).
 _Row = list
 
 
@@ -64,14 +69,17 @@ def _row_normalize(row: _Row) -> None:
             g = math.gcd(g, abs(v))
             if g == 1:
                 return
-    for v in im:
-        if v:
-            g = math.gcd(g, abs(v))
-            if g == 1:
-                return
+    real = not any(im)
+    if not real:
+        for v in im:
+            if v:
+                g = math.gcd(g, abs(v))
+                if g == 1:
+                    return
     if g > 1:
         row[0] = [v // g for v in re]
-        row[1] = [v // g for v in im]
+        if not real:
+            row[1] = [v // g for v in im]
         row[2] = den // g
 
 
@@ -86,8 +94,12 @@ def _row_first_nonzero(row: _Row, limit: int) -> int:
 def _row_make_pivot_one(row: _Row, col: int) -> None:
     re, im, _ = row
     a, b = re[col], im[col]
-    if b == 0 and a > 0:
-        # real positive pivot: just rescale the denominator
+    if b == 0:
+        # real pivot: move its sign to the numerators and rescale the denominator
+        if a < 0:
+            row[0] = [-x for x in re]
+            row[1] = [-y for y in im]
+            a = -a
         row[2] = a
         _row_normalize(row)
         return
@@ -105,16 +117,18 @@ def _row_eliminate(row: _Row, pivot_row: _Row, col: int) -> None:
     if not a and not b:
         return
     p_re, p_im, p_den = pivot_row
-    new_re = [
-        x * p_den - (a * pr - b * pi)
-        for x, pr, pi in zip(r_re, p_re, p_im)
-    ]
-    new_im = [
-        y * p_den - (a * pi + b * pr)
-        for y, pr, pi in zip(r_im, p_re, p_im)
-    ]
-    row[0] = new_re
-    row[1] = new_im
+    if not b and not any(r_im) and not any(p_im):
+        # both rows real: the row keeps its zero imaginary list
+        row[0] = [x * p_den - a * pr for x, pr in zip(r_re, p_re)]
+    else:
+        row[0] = [
+            x * p_den - (a * pr - b * pi)
+            for x, pr, pi in zip(r_re, p_re, p_im)
+        ]
+        row[1] = [
+            y * p_den - (a * pi + b * pr)
+            for y, pr, pi in zip(r_im, p_re, p_im)
+        ]
     row[2] = r_den * p_den
     _row_normalize(row)
 
@@ -385,6 +399,42 @@ def mat_span(mats: Sequence[Mat], n: int | None = None) -> Subspace:
         if m.shape != (n, n):
             raise ShapeError("matrices of mixed shapes in span")
         ech.add(m)
+    return ech.subspace()
+
+
+def product_span(lefts: Sequence[Mat], rights: Sequence[Mat], n: int) -> Subspace:
+    """span{a @ w : a in lefts, w in rights} inside flattened gl(n).
+
+    When every product fits in int64 (the bound ``Mat.__matmul__`` uses), all
+    of them come from one batched product of the numerator grids, and each
+    enters the echelon, a-major, as its integer row: scaling a product by its
+    nonzero denominator leaves the span, and every stored row, unchanged.
+    Above the bound each product is formed exactly, one at a time.
+    """
+    lefts, rights = list(lefts), list(rights)
+    if any(m.shape != (n, n) for m in lefts + rights):
+        raise ShapeError(f"products of matrices that are not {n}x{n}")
+    ech = _Echelon(n * n)
+    big_a = max((a.max_abs_num() for a in lefts), default=0)
+    big_w = max((w.max_abs_num() for w in rights), default=0)
+    if 2 * n * max(big_a, 1) * max(big_w, 1) < _INT64_SAFE:
+        d, k = len(lefts), len(rights)
+        a_re = np.array([a.re for a in lefts], dtype=np.int64).reshape(d, 1, n, n)
+        w_re = np.array([w.re for w in rights], dtype=np.int64).reshape(1, k, n, n)
+        if all(m.is_real() for m in lefts + rights):
+            re = (a_re @ w_re).reshape(d * k, n * n).tolist()
+            im = [[0] * (n * n)] * (d * k)
+        else:
+            a_im = np.array([a.im for a in lefts], dtype=np.int64).reshape(d, 1, n, n)
+            w_im = np.array([w.im for w in rights], dtype=np.int64).reshape(1, k, n, n)
+            re = (a_re @ w_re - a_im @ w_im).reshape(d * k, n * n).tolist()
+            im = (a_re @ w_im + a_im @ w_re).reshape(d * k, n * n).tolist()
+        for row_re, row_im in zip(re, im):
+            ech.insert([row_re, row_im, 1])
+    else:
+        for a in lefts:
+            for w in rights:
+                ech.add(a @ w)
     return ech.subspace()
 
 

@@ -66,3 +66,24 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "c.py").write_text("not counted\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def _traced(counts):
+    """The last JSON line of a traced run with these counts, plus one timing and one ratio."""
+    metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+    metrics["matrices.matmul.self_ms"] = {"value": 1.5, "unit": "ms"}
+    metrics["trace.slowdown"] = {"value": 1.2, "unit": "ratio"}
+    return {"correct": True, "failed": 0, "metrics": metrics}
+
+
+def test_compare_counts_keeps_counts_and_names_each_difference():
+    same = {"subspaces.echelon_insert.calls": 11022, "subspaces.echelon_insert.accepted": 1088}
+    base = {"matrices.matmul.calls": 13319, "matrices.kron.calls": 4, **same}
+    change = {"matrices.matmul.calls": 2297, "grading.ampliate.calls": 2, **same}
+    counts = bench_pairs.compare_counts(_traced(base), _traced(change))
+    assert counts["base"] == base
+    assert counts["change"] == change
+    assert counts["count_differences"] == [
+        "grading.ampliate.calls", "matrices.kron.calls", "matrices.matmul.calls",
+    ]
+    assert bench_pairs.compare_counts(_traced(base), _traced(base))["count_differences"] == []

@@ -455,6 +455,55 @@ def test_solvable_flags_are_byte_stable(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == want, (n, seed)
 
 
+# exit code and sha256 of `triangularize --tol 0 --report json` on the same
+# documents, computed before the exact check of the flag ran only once
+SOLVABLE_TRIANGULARIZE_TOL0_SHA256 = {
+    (2, 0): (0, "95285408166ed0bfe337ee2b7d04aa256e207738c01da6fbaf0607baf3cb3c53"),
+    (2, 1): (0, "95285408166ed0bfe337ee2b7d04aa256e207738c01da6fbaf0607baf3cb3c53"),
+    (2, 2): (0, "10c0782be1a409cf20f357c3670a0b791272c776a94043b72b61bed6cabf7411"),
+    (3, 0): (0, "a3504e39c98841dc763f37c4b220b3efbe461c0c96ead0aff82176af09b90111"),
+    (3, 1): (0, "bdd490661a2cea0b84f5dcb4055f915ca0a54e6cf59f610db87ee29a542c4737"),
+    (3, 2): (0, "50ae6fdb6d561c0c2509aad861f3566059e15e96d43176beae302b2db17520f8"),
+    (4, 0): (0, "c36073a8f34ec01063ce6f1ea69b195b00fd1deff2f71f517896e3a56d12a432"),
+    (4, 1): (0, "eefb6e26d4f5d8c6cee332f1445647c43d96a4843dffd57ef0822a9e53950d03"),
+    (4, 2): (0, "918a8058456d1b228ba2985510de320bcdcdc75c24202b70c534f068cf3334c2"),
+    (5, 0): (0, "310fde6afce72eec4a53fc478c04381fd0e7a2e11b71077a49286ef78c0c55b7"),
+    (5, 1): (0, "5cc63fe872a7de32d12b24c353a9bed93c54f1d798290115d665fe61f052d76d"),
+    (5, 2): (0, "cc2cf886b75ca2cde2a57b1a4e1f51fbb8bc513c90b6165d1c9c68bee831a8e9"),
+}
+
+
+def test_exact_triangularize_is_byte_stable(capsys, tmp_path):
+    from gradelie.generators import gen_solvable
+
+    for (n, seed), (code, want) in SOLVABLE_TRIANGULARIZE_TOL0_SHA256.items():
+        path = tmp_path / f"solvable-{n}-{seed}.json"
+        path.write_text(dumps_document(document_from(gen_solvable(n, seed))))
+        assert main(["triangularize", "--input", str(path), "--tol", "0", "--report", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (n, seed)
+
+
+def test_exact_triangularize_checks_the_flag_once(capsys, tmp_path, monkeypatch):
+    from gradelie import cli, spectral
+    from gradelie.generators import gen_solvable
+
+    exact_checks = []
+    real = spectral.verify_flag
+
+    def counted(mats, flag, tol=0.0):
+        exact_checks.append(tol)
+        return real(mats, flag, tol)
+
+    monkeypatch.setattr(spectral, "verify_flag", counted)
+    monkeypatch.setattr(cli, "verify_flag", counted)
+    path = tmp_path / "solvable-5-0.json"
+    path.write_text(dumps_document(document_from(gen_solvable(5, 0))))
+    assert main(["triangularize", "--input", str(path), "--tol", "0", "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert exact_checks == [0.0]
+
+
 # sha256 of `fuzz --lemma NAME --trials 30 --seed 3 --report json`: campaign
 # reports are byte-stable, so any change to these outputs is a finding
 FUZZ_JSON_SHA256 = {

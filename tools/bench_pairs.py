@@ -12,6 +12,9 @@ last JSON line of every run, the line count of ``src/gradelie/*.py`` on each
 side, and per side and metric the median and quartiles, plus how many pairs
 the change won.  Each metric also gets the base's spread, the signed median
 change and a verdict against its ``BENCHMARK.json`` bound (see ``summarize``).
+After the timed pairs, one ``--trace 1`` run per side and workload gives the
+per-layer counts; the record keeps each side's ``count``-unit metrics and
+the names whose values differ (see ``compare_counts``).
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
         --seed 4242 --out BENCH_lie_series.json
@@ -29,13 +32,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+# traced counts are per pass, so a short traced run gives the same counts
+TRACE_SECONDS = 1
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The last JSON line of one perfbench run in the given checkout."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -57,6 +62,21 @@ def export(rev: str, into: Path) -> str:
 def src_lines(checkout: Path) -> int:
     """The number of lines in ``src/gradelie/*.py`` of a checkout, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "gradelie").glob("*.py"))
+
+
+def compare_counts(base: dict, change: dict) -> dict:
+    """Each side's ``count``-unit metrics from the last JSON line of a traced
+    run, and ``count_differences``: the names whose values differ, a name
+    that one side lacks included."""
+    counts = {
+        side: {name: m["value"] for name, m in result["metrics"].items() if m["unit"] == "count"}
+        for side, result in (("base", base), ("change", change))
+    }
+    names = counts["base"].keys() | counts["change"].keys()
+    counts["count_differences"] = sorted(
+        name for name in names if counts["base"].get(name) != counts["change"].get(name)
+    )
+    return counts
 
 
 def summarize(runs: list[dict], metrics: dict) -> dict:
@@ -123,15 +143,21 @@ def main(argv=None) -> int:
         record["change"] = git("rev-parse", "HEAD")
         record["change_uncommitted_edits"] = bool(git("status", "--porcelain", "--untracked-files=no"))
         record["src_lines"] = {"base": src_lines(base_dir), "change": src_lines(ROOT)}
+        sides = [("base", base_dir), ("change", ROOT)]
         for workload in args.workload:
             runs = []
             for pair in range(PAIRS):
-                sides = [("base", base_dir), ("change", ROOT)]
                 for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
                     result = run_once(checkout, workload, args.seed, seconds)
                     runs.append({"pair": pair, "side": side, "result": result})
                     print(workload, pair, side, result["metrics"]["ops_per_s"]["value"], file=sys.stderr)
-            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
+            traced = {side: run_once(checkout, workload, args.seed, TRACE_SECONDS, trace=1)
+                      for side, checkout in sides}
+            record["workloads"][workload] = {
+                "runs": runs,
+                "summary": summarize(runs, metrics),
+                "traced_counts": compare_counts(traced["base"], traced["change"]),
+            }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
