@@ -11,9 +11,9 @@ is re-verified exactly before it is trusted).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,9 +105,11 @@ def _verify_invariant(mats: Sequence[Mat], space: Subspace) -> bool:
     return space.contains_all(g @ v for v in basis for g in mats)
 
 
-def _rationalize_complex(z: complex, tol: float = 1e-9) -> GaussianRational | None:
-    re = Fraction(z.real).limit_denominator(10**9)
-    im = Fraction(z.imag).limit_denominator(10**9)
+def _snap(z: complex, bound: int, tol: float) -> GaussianRational | None:
+    """The nearest Gaussian rational to z whose parts have denominators at
+    most bound, or None when a part lies farther than tol from z's."""
+    re = Fraction(z.real).limit_denominator(bound)
+    im = Fraction(z.imag).limit_denominator(bound)
     if abs(float(re) - z.real) > tol or abs(float(im) - z.imag) > tol:
         return None
     return GaussianRational(re, im)
@@ -160,7 +162,7 @@ def decide_irreducible(mats: Sequence[Mat]) -> IrreducibilityVerdict:
                 if abs(v[big]) < 1e-12:
                     continue
                 v = v / v[big]
-                rat = [_rationalize_complex(complex(x)) for x in v]
+                rat = [_snap(complex(x), 10**9, 1e-9) for x in v]
                 if all(r is not None for r in rat):
                     yield Mat.from_rows([rat]).transpose()
 
@@ -200,26 +202,17 @@ class Flag:
     """Maximal chain of invariant subspaces plus the change of basis realizing it.
 
     Chain member k is the span of the first k columns of ``basis_change``,
-    which must be invertible.
+    which must be invertible; the chain is computed from it.
     """
 
-    chain: tuple[Subspace, ...]
     basis_change: Mat
+    chain: tuple[Subspace, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.basis_change.n_rows
-        if len(self.chain) != max(0, n - 1):
-            raise TriangularizationError("flag chain must have dims 1..n-1")
-        for k, sub in enumerate(self.chain, start=1):
-            if sub.dim != k or sub.ambient_dim != n:
-                raise TriangularizationError("flag chain dims must increase by one")
         spans = _leading_spans(self.basis_change)
         if spans is None:
             raise TriangularizationError("basis change is not invertible")
-        if tuple(spans) != self.chain:
-            raise TriangularizationError(
-                "chain member does not match the leading basis-change columns"
-            )
+        object.__setattr__(self, "chain", tuple(spans))
 
 
 def _complete_basis(vec: Mat, m: int) -> Mat:
@@ -235,105 +228,101 @@ def _complete_basis(vec: Mat, m: int) -> Mat:
     return _hstack(cols)
 
 
-def _eigenvalue_candidates(z: Mat) -> list[GaussianRational]:
-    """Q(i) eigenvalue guesses for an exact matrix, roughly best-first.
+def _eigenvalue_candidates(z: Mat) -> Iterator[GaussianRational]:
+    """Q(i) eigenvalue guesses for an exact matrix, roughly best-first, each once.
 
     Wrong guesses are harmless (the caller gates each one through an exact
-    kernel computation), so this errs on the side of generosity: numeric
-    eigenvalues of defective matrices can be off by far more than machine
-    epsilon, but cluster means and denominator snapping recover the exact
-    value whenever it lies in Q(i).
+    kernel computation), so this errs on the side of generosity.  The cheap
+    guesses (the diagonal entries, trace/t and 0) come first, and the numeric
+    eigenvalues are computed only when the caller asks past them: those of
+    defective matrices can be off by far more than machine epsilon, but
+    cluster means and denominator snapping recover the exact value whenever
+    it lies in Q(i).
     """
     t = z.n_rows
-    out: list[GaussianRational] = []
+    seen: list[GaussianRational] = []
 
-    def push(g: GaussianRational) -> None:
-        if g not in out:
-            out.append(g)
+    def guesses() -> Iterator[GaussianRational | None]:
+        for i in range(t):
+            yield z.entry(i, i)
+        yield z.trace() * GaussianRational(Fraction(1, t))
+        yield GaussianRational(0)
+        try:
+            vals = [complex(v) for v in np.linalg.eigvals(to_numeric(z))]
+        except OverflowError:  # beyond the double range there is no guess
+            return
+        groups: list[list[complex]] = []
+        for radius in (1e-9, 1e-6, 1e-3):
+            clusters: list[list[complex]] = []
+            for v in vals:
+                for cl in clusters:
+                    if abs(v - cl[0]) <= radius:
+                        cl.append(v)
+                        break
+                else:
+                    clusters.append([v])
+            groups.extend(clusters)
+        for cl in groups:
+            mean = sum(cl) / len(cl)
+            for bound in (24, 10**4, 10**9):
+                yield _snap(mean, bound, 1e-3)
 
-    if t == 0:
-        return out
-    for i in range(t):
-        push(z.entry(i, i))
-    push(z.trace() * GaussianRational(Fraction(1, t)))
-    push(GaussianRational(0))
-    try:
-        vals = [complex(v) for v in np.linalg.eigvals(to_numeric(z))]
-    except OverflowError:  # beyond the double range there is no guess
-        vals = []
-    groups: list[list[complex]] = []
-    for radius in (1e-9, 1e-6, 1e-3):
-        clusters: list[list[complex]] = []
-        for v in vals:
-            for cl in clusters:
-                if abs(v - cl[0]) <= radius:
-                    cl.append(v)
-                    break
-            else:
-                clusters.append([v])
-        groups.extend(clusters)
-    for cl in groups:
-        mean = sum(cl) / len(cl)
-        for bound in (24, 10**4, 10**9):
-            re = Fraction(mean.real).limit_denominator(bound)
-            im = Fraction(mean.imag).limit_denominator(bound)
-            if abs(float(re) - mean.real) <= 1e-3 and abs(float(im) - mean.imag) <= 1e-3:
-                push(GaussianRational(re, im))
-    return out
+    for g in guesses():
+        if g is not None and g not in seen:
+            seen.append(g)
+            yield g
 
 
 def _common_eigenvector(algebra: LieAlgebra) -> Mat:
     """A joint eigenvector of a solvable algebra, exact, as a column.
 
-    Lie's descent: K, [L, L] (read where ``is_solvable`` or the level above
-    kept it) extended by basis elements in order to codimension one, is an
-    ideal.  The weight space of K's joint eigenvector, found by recursion, is
-    invariant under L, and an eigenvector there of z, the first basis element
-    outside K, is one of all of L.
+    Lie's descent, walked once down and once up.  Down: K_0 = L, and K_{j+1}
+    is [K_j, K_j] (read where ``is_solvable`` kept it for L) extended by basis
+    elements of K_j in order to codimension one, an ideal of K_j; z_j is the
+    first basis element of K_j outside it.  Up: W starts as the whole space
+    and at each level becomes an eigenspace of z_j in W.  That is the joint
+    weight space of K_j, which is invariant under K_{j-1} (Lie's lemma), so
+    an eigenvector of z_0 in the last W is one of all of L.
     """
     m = algebra.ambient_dim
-    d = algebra.dim
-    if d == 0:
-        return Mat.identity(m).block(0, m, 0, 1)
-    ech = commutator_span(algebra)._echelon()
-    for b in algebra.basis_mats:
-        if len(ech.rows) >= d - 1:
-            break
-        ech.add(b)
-    if len(ech.rows) != d - 1:
-        raise TriangularizationError("could not split a codimension-one ideal")
-    z_mat = ech.outside(algebra.basis_mats)
-    ideal = LieAlgebra.from_span(ech.subspace(), m)
-    v = _common_eigenvector(ideal)
-    # joint weight space of the ideal at v
-    shifted: list[Mat] = []
-    pivot = next(i for i in range(m) if v.entry(i, 0))
-    for k in ideal.basis_mats:
-        kv = k @ v
-        lam = kv.entry(pivot, 0) / v.entry(pivot, 0)
-        if kv != v.scale(lam):
-            raise TriangularizationError("recursive eigenvector failed verification")
-        shifted.append(k - Mat.identity(m).scale(lam))
-    if shifted:
-        w_vectors = column_kernel(stack_vertical(shifted))
-    else:
-        w_vectors = _columns(Mat.identity(m))
+    splits: list[Mat] = []
+    level = algebra
+    while level.dim:
+        ech = commutator_span(level)._echelon()
+        for b in level.basis_mats:
+            if len(ech.rows) >= level.dim - 1:
+                break
+            ech.add(b)
+        if len(ech.rows) != level.dim - 1:
+            raise TriangularizationError("could not split a codimension-one ideal")
+        splits.append(ech.outside(level.basis_mats))
+        level = LieAlgebra.from_span(ech.subspace(), m)
+    identity = _columns(Mat.identity(m))
+    if not splits:
+        return identity[0]
+    # W as a canonical echelon; coordinates come from it, so the basis must too
     w_ech = _Echelon(m)
-    for wv in w_vectors:
-        w_ech.add(wv)
-    # coordinates below come from the echelon, so the basis must too
-    w_basis = w_ech.basis_mat().transpose()
-    z_small = w_ech.coordinates(_columns(z_mat @ w_basis))
-    if z_small is None:
-        raise TriangularizationError("weight space is not invariant")
-    t = z_small.n_rows
-    for lam in _eigenvalue_candidates(z_small):
-        kernel = column_kernel(z_small - Mat.identity(t).scale(lam))
-        if kernel:
+    for e in identity:
+        w_ech.add(e)
+    for depth in range(len(splits) - 1, -1, -1):
+        w_basis = w_ech.basis_mat().transpose()
+        z_small = w_ech.coordinates(_columns(splits[depth] @ w_basis))
+        if z_small is None:
+            raise TriangularizationError("weight space is not invariant")
+        t = z_small.n_rows
+        for lam in _eigenvalue_candidates(z_small):
+            kernel = column_kernel(z_small - Mat.identity(t).scale(lam))
+            if kernel:
+                break
+        else:
+            raise TriangularizationError(
+                "no eigenvalue of the splitting element rationalizes to Q(i)"
+            )
+        if not depth:
             return w_basis @ kernel[0]
-    raise TriangularizationError(
-        "no eigenvalue of the splitting element rationalizes to Q(i)"
-    )
+        w_ech = _Echelon(m)
+        for k in kernel:
+            w_ech.add(w_basis @ k)
 
 
 def triangularize_solvable(algebra: LieAlgebra) -> Flag:
@@ -361,7 +350,7 @@ def triangularize_solvable(algebra: LieAlgebra) -> Flag:
             nxt.append(t.block(1, m, 1, m))
         # u @ block-diag(I_step, b): the trailing columns times b
         u = _hstack([u.block(0, n, 0, step), u.block(0, n, step, n) @ b])
-    flag = Flag(tuple(_leading_spans(u)), u)
+    flag = Flag(u)
     report = verify_flag(list(algebra.basis_mats), flag, 0.0)
     if not report.all_ok:
         raise TriangularizationError("constructed flag failed exact verification")
