@@ -10,6 +10,7 @@ is re-verified exactly before it is trusted).
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,7 +108,10 @@ def _verify_invariant(mats: Sequence[Mat], space: Subspace) -> bool:
 
 def _snap(z: complex, bound: int, tol: float) -> GaussianRational | None:
     """The nearest Gaussian rational to z whose parts have denominators at
-    most bound, or None when a part lies farther than tol from z's."""
+    most bound, or None when a part lies farther than tol from z's or z is
+    not finite (numeric eigenvalues of finite entries can overflow)."""
+    if not cmath.isfinite(z):
+        return None
     re = Fraction(z.real).limit_denominator(bound)
     im = Fraction(z.imag).limit_denominator(bound)
     if abs(float(re) - z.real) > tol or abs(float(im) - z.imag) > tol:

@@ -586,6 +586,12 @@ OVERFLOW_3X3 = {
     "structure": "lie",
     "generators": [[["2", "1", "0"], ["0", BIG, "1"], ["1", "0", "3"]]],
 }
+# entries within the double range whose numeric eigenvalues overflow to infinity
+OVERFLOW_EIGENVALUES = {
+    "ambient_dim": 2,
+    "structure": "lie",
+    "generators": [[["1", "1" + "0" * 308], ["1" + "0" * 308, "15" + "0" * 307]]],
+}
 
 
 def _report(capsys, tmp_path, doc, command):
@@ -600,9 +606,10 @@ def _report(capsys, tmp_path, doc, command):
 def test_entries_beyond_the_double_range_end_in_reports(capsys, tmp_path):
     code, report = _report(capsys, tmp_path, OVERFLOW_2X2, "triangularize")
     assert code == 0 and report["verified"] is True and report["chain_dims"] == [1]
-    code, report = _report(capsys, tmp_path, OVERFLOW_3X3, "triangularize")
-    assert code == 1 and report["certificate"] is None
-    assert report["error"] == "no eigenvalue of the splitting element rationalizes to Q(i)"
+    for doc in (OVERFLOW_3X3, OVERFLOW_EIGENVALUES):
+        code, report = _report(capsys, tmp_path, doc, "triangularize")
+        assert code == 1 and report["certificate"] is None
+        assert report["error"] == "no eigenvalue of the splitting element rationalizes to Q(i)"
     for command in ("analyze", "irreducible"):
         code, report = _report(capsys, tmp_path, OVERFLOW_3X3, command)
         assert code == 1 and report["irreducible"] is False
