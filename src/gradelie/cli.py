@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .documents import (
@@ -217,6 +218,8 @@ def _cmd_grade_check(doc: AlgebraDocument, args) -> int:
 
 
 def _cmd_triangularize(doc: AlgebraDocument, args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise DocumentError("--tol", f"must be finite and at least 0, got {args.tol}")
     obj = _materialize(doc, args)
     if obj is None:
         return 1

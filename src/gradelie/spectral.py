@@ -25,10 +25,11 @@ from .subspaces import (
     _Echelon,
     column_kernel,
     mat_inverse,
+    span_basis_mats,
     span_closure,
     stack_vertical,
 )
-from .lie import LieAlgebra, PreconditionError, commutator_span, is_solvable
+from .lie import LieAlgebra, PreconditionError, derived_series
 
 __all__ = [
     "Flag",
@@ -277,30 +278,25 @@ def _eigenvalue_candidates(z: Mat) -> Iterator[GaussianRational]:
             yield g
 
 
-def _common_eigenvector(algebra: LieAlgebra) -> Mat:
-    """A joint eigenvector of a solvable algebra, exact, as a column.
-
-    Lie's descent, walked once down and once up.  Down: K_0 = L, and K_{j+1}
-    is [K_j, K_j] (read where ``is_solvable`` kept it for L) extended by basis
-    elements of K_j in order to codimension one, an ideal of K_j; z_j is the
-    first basis element of K_j outside it.  Up: W starts as the whole space
-    and at each level becomes an eigenspace of z_j in W.  That is the joint
-    weight space of K_j, which is invariant under K_{j-1} (Lie's lemma), so
-    an eigenvector of z_0 in the last W is one of all of L.
-    """
-    m = algebra.ambient_dim
+def _split_elements(terms: Sequence[Subspace], m: int) -> list[Mat]:
+    """z_0, z_1, ... with K_j = span(z_j, z_{j+1}, ...) a chain of codimension-one
+    ideals from L down, read off L's derived series ``terms`` in gl(m): any
+    subspace between [D_k, D_k] and D_k is an ideal of every larger one, so
+    D_k's RREF basis elements that extend D_{k+1} are taken last-first."""
     splits: list[Mat] = []
-    level = algebra
-    while level.dim:
-        ech = commutator_span(level)._echelon()
-        for b in level.basis_mats:
-            if len(ech.rows) >= level.dim - 1:
-                break
-            ech.add(b)
-        if len(ech.rows) != level.dim - 1:
-            raise TriangularizationError("could not split a codimension-one ideal")
-        splits.append(ech.outside(level.basis_mats))
-        level = LieAlgebra.from_span(ech.subspace(), m)
+    for upper, lower in zip(terms, terms[1:]):
+        ech = lower._echelon()
+        splits += reversed([z for z in span_basis_mats(upper, m) if ech.add(z)])
+    return splits
+
+
+def _common_eigenvector(terms: Sequence[Subspace], m: int) -> Mat:
+    """A joint eigenvector of a solvable algebra in gl(m), exact, as a column:
+    Lie's descent, walked once up the chain K_j of ``_split_elements``.  W
+    starts as the whole space and at each level becomes an eigenspace of z_j
+    in W, the joint weight space of K_j, which K_{j-1} leaves invariant (Lie's
+    lemma)."""
+    splits = _split_elements(terms, m)
     identity = _columns(Mat.identity(m))
     if not splits:
         return identity[0]
@@ -332,10 +328,9 @@ def _common_eigenvector(algebra: LieAlgebra) -> Mat:
 def triangularize_solvable(algebra: LieAlgebra) -> Flag:
     """A maximal invariant flag for a solvable algebra, with exact verification.
 
-    The first block is the algebra itself, whose [L, L] ``is_solvable`` has
-    just kept; each deflated block is spanned once."""
-    if not is_solvable(algebra):
-        raise PreconditionError("algebra is not solvable")
+    Each block's derived series is taken once: Lie's descent reads its chain
+    off it, and the algebra's own series decides solvability (each deflated
+    block is a quotient of it, so solvable too)."""
     n = algebra.ambient_dim
     u = Mat.identity(n)
     block = algebra
@@ -343,7 +338,10 @@ def triangularize_solvable(algebra: LieAlgebra) -> Flag:
         m = n - step
         if step:
             block = LieAlgebra.from_matrices(nxt, m)
-        b = _complete_basis(_common_eigenvector(block), m)
+        terms = derived_series(block).terms
+        if terms[-1].dim:
+            raise PreconditionError("algebra is not solvable")
+        b = _complete_basis(_common_eigenvector(terms, m), m)
         b_inv = mat_inverse(b)
         nxt = []
         for a in block.basis_mats:

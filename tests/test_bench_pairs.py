@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -87,3 +88,45 @@ def test_compare_counts_keeps_counts_and_names_each_difference():
         "grading.ampliate.calls", "matrices.kron.calls", "matrices.matmul.calls",
     ]
     assert bench_pairs.compare_counts(_traced(base), _traced(base))["count_differences"] == []
+
+
+TOY_WORKLOADS = '''
+from types import SimpleNamespace
+
+def build(seed, out_dir):
+    (out_dir / "corpus").write_text(str(seed))
+
+    def fault():
+        raise KeyError("fault")
+
+    ops = [SimpleNamespace(run=lambda: seed, record=lambda out: (out, RECORD)),
+           SimpleNamespace(run=fault, record=None)]
+    return SimpleNamespace(ops=ops)
+
+WORKLOADS = {"toy": build}
+'''
+
+
+def _toy_checkout(root, record):
+    """A checkout whose one workload records (seed, record) and then raises."""
+    (root / "src").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(f"RECORD = {record!r}\n" + TOY_WORKLOADS)
+    return root
+
+
+def test_op_record_digests_compare_one_pass_of_each_side(tmp_path):
+    base = _toy_checkout(tmp_path / "base", "a")
+    same = _toy_checkout(tmp_path / "same", "a")
+    other = _toy_checkout(tmp_path / "other", "b")
+    digest = bench_pairs.op_record_digest(base, "toy", 7)
+    want = hashlib.sha256(repr([(7, "a"), "KeyError"]).encode()).hexdigest()
+    assert digest == want
+    # the corpus goes to a temporary directory, not into the checkout
+    assert not any(p.name == "corpus" for p in base.rglob("*"))
+    assert bench_pairs.compare_records(digest, bench_pairs.op_record_digest(same, "toy", 7)) == {
+        "base": want, "change": want, "records_identical": True,
+    }
+    moved = bench_pairs.compare_records(digest, bench_pairs.op_record_digest(other, "toy", 7))
+    assert moved["records_identical"] is False and moved["change"] != want
+    assert bench_pairs.op_record_digest(base, "toy", 8) != digest

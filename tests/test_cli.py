@@ -504,6 +504,50 @@ def test_exact_triangularize_checks_the_flag_once(capsys, tmp_path, monkeypatch)
     assert exact_checks == [0.0]
 
 
+def test_triangularize_refuses_a_tol_that_is_negative_or_not_finite(capsys, tmp_path):
+    # a negative or NaN tolerance failed every exactly verified flag, and an
+    # infinite one passed any residual
+    assert main(["example", "heisenberg", "--emit"]) == 0
+    path = tmp_path / "heis.json"
+    path.write_text(capsys.readouterr().out)
+    for value, shown in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")):
+        assert main(["triangularize", "--input", str(path), f"--tol={value}", "--report", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --tol: must be finite and at least 0, got {shown}\n"
+
+
+# exit code and sha256 of `triangularize --report json` on the document of
+# GENERATOR(n, seed), with the structure tag of the name: taking the split
+# elements of each derived-series step in RREF order instead of last-first
+# moves each of these flags and none of the pins above
+DESCENT_TRIANGULARIZE_SHA256 = {
+    ("solvable", 3, 15): (0, "710c94765a27f7049087b4e0046dcd835c25d0557a0d2eaff9efcb4908e44dd0"),
+    ("solvable", 4, 9): (0, "0541354874348bf18c3658a8730009ab0aed15ba5fc5e0154acf87c54eb526e9"),
+    ("solvable", 6, 10): (0, "afffc93b02a0f5314f8f45d2fb0c5777bcd5fe64f43e483777cf3edc7453f479"),
+    ("triple", 3, 5): (0, "ded25bcb8dadedbc5b1c3b1fb4bf83e721f4ff25f3e2a19e87d16b1de7264765"),
+    ("triple", 5, 0): (0, "747b10b1f77c68c5596302d833394b8267d6c5500382cef43de0bb856e0b09bc"),
+    ("jordan", 3, 1): (0, "b22010234d68523a4927a6ca0ce4c7ac878667c256bd0ce43efc4b239d3fdfb5"),
+    ("jordan", 4, 1): (0, "0c0640c5ac96da08385e3c15b4851331fe5391ada14c686c4b270147de89a9e8"),
+}
+
+
+def test_descent_flags_are_byte_stable(capsys, tmp_path):
+    from gradelie.generators import gen_nilpotent_jordan, gen_nilpotent_triple, gen_solvable
+
+    documents = {
+        "solvable": lambda n, seed: document_from(gen_solvable(n, seed)),
+        "triple": lambda n, seed: document_from(gen_nilpotent_triple(n, seed), "triple"),
+        "jordan": lambda n, seed: document_from(gen_nilpotent_jordan(n, seed), "jordan"),
+    }
+    for (name, n, seed), (code, want) in DESCENT_TRIANGULARIZE_SHA256.items():
+        path = tmp_path / f"{name}-{n}-{seed}.json"
+        path.write_text(dumps_document(documents[name](n, seed)))
+        assert main(["triangularize", "--input", str(path), "--report", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (name, n, seed)
+
+
 # sha256 of `fuzz --lemma NAME --trials 30 --seed 3 --report json`: campaign
 # reports are byte-stable, so any change to these outputs is a finding
 FUZZ_JSON_SHA256 = {

@@ -306,7 +306,7 @@ def test_one_commutator_per_algebra(monkeypatch):
 
 def test_closure_checks_keep_the_commutator(monkeypatch):
     # the closure check of a components document or of a triple envelope keeps
-    # [L, L], and so does is_solvable for the triangularization after it
+    # [L, L], and so does is_solvable, for every later series of the algebra
     from gradelie import matrices
     from gradelie.documents import document_from, materialize
     from gradelie.examples import build_example
@@ -338,8 +338,8 @@ def test_closure_checks_keep_the_commutator(monkeypatch):
     for seed in range(3):
         for m in (gen_nilpotent_triple(4, seed), gen_nilpotent_jordan(4, seed)):
             skipped(triple_envelope(m))
-    # after is_solvable, the triangularization reads [L, L] and does not
-    # bracket every pair of L's basis again
+    # the triangularization takes the algebra's derived series once more; that
+    # series reads the kept [L, L], so not every pair of L's basis is bracketed again
     pairs = []
     counting = matrices.bracket
     monkeypatch.setattr(matrices, "bracket", lambda a, b: pairs.append({a, b}) or counting(a, b))

@@ -261,3 +261,41 @@ def test_triangularize_fuzz_conjugated_uppers():
         flag = triangularize_solvable(algebra)
         assert verify_flag(list(algebra.basis_mats), flag, 1e-9).all_ok
         assert verify_flag(list(algebra.basis_mats), flag, 0.0).all_ok
+
+
+def test_descent_is_read_off_the_derived_series(monkeypatch):
+    # K_j = span(z_j, z_{j+1}, ...) runs from L down to 0, each an ideal of
+    # codimension one in the one before; the walk up it forms no bracket and
+    # ends in a joint eigenvector
+    from gradelie import matrices
+    from gradelie.generators import gen_nilpotent_jordan, gen_nilpotent_triple, gen_solvable
+    from gradelie.lie import derived_series, is_ideal
+    from gradelie.spectral import _common_eigenvector, _split_elements
+    from gradelie.structures import jordan_to_z2, triple_envelope
+    from gradelie.subspaces import MatSubspace
+
+    def no_bracket(a, b):
+        raise AssertionError("the descent formed a bracket")
+
+    algebras = [gen_solvable(n, seed) for n in (3, 4, 5) for seed in range(4)]
+    for n, seed in ((3, 5), (4, 0), (5, 0)):
+        algebras.append(triple_envelope(gen_nilpotent_triple(n, seed)))
+        algebras.append(jordan_to_z2(gen_nilpotent_jordan(n, seed)).algebra)
+    longest = 0
+    for algebra in algebras:
+        n = algebra.ambient_dim
+        terms = derived_series(algebra).terms
+        splits = _split_elements(terms, n)
+        chain = [MatSubspace.from_matrices(splits[j:], n) for j in range(len(splits) + 1)]
+        assert chain[0] == algebra and chain[-1].dim == 0
+        for upper, lower in zip(chain, chain[1:]):
+            assert lower.dim == upper.dim - 1
+            assert is_ideal(upper, lower.span)
+        longest = max(longest, sum(t.dim > 0 for t in terms))
+        with monkeypatch.context() as patched:
+            patched.setattr(matrices, "bracket", no_bracket)
+            v = _common_eigenvector(terms, n)
+        line = canonicalize([[v.entry(i, 0) for i in range(n)]], ambient_dim=n)
+        assert line.dim == 1 and line.contains_all(b @ v for b in algebra.basis_mats)
+    # some series take more than one step below L, so some chains cross a term
+    assert longest >= 3

@@ -14,7 +14,10 @@ the change won.  Each metric also gets the base's spread, the signed median
 change and a verdict against its ``BENCHMARK.json`` bound (see ``summarize``).
 After the timed pairs, one ``--trace 1`` run per side and workload gives the
 per-layer counts; the record keeps each side's ``count``-unit metrics and
-the names whose values differ (see ``compare_counts``).
+the names whose values differ (see ``compare_counts``).  Last, one untimed
+pass of each workload's ops per side, in a subprocess that writes its corpus
+to a temporary directory, gives the sha256 of that pass's op records and
+whether the two sides' records are identical (see ``op_record_digest``).
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
         --seed 4242 --out BENCH_lie_series.json
@@ -34,6 +37,22 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 # traced counts are per pass, so a short traced run gives the same counts
 TRACE_SECONDS = 1
+# run in a checkout: one pass of a workload's ops, and the sha256 of the repr
+# of their records, an op that raises recorded by its exception's class name
+RECORDS_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+sys.path[:0] = [str(Path("src").resolve()), str(Path("perfbench").resolve())]
+import workloads
+workload, seed, out_dir = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
+records = []
+for op in workloads.WORKLOADS[workload](seed, out_dir).ops:
+    try:
+        records.append(op.record(op.run()))
+    except Exception as exc:
+        records.append(type(exc).__name__)
+print(hashlib.sha256(repr(records).encode()).hexdigest())
+"""
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -44,6 +63,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def op_record_digest(checkout: Path, workload: str, seed: int) -> str:
+    """The sha256 of one pass's op records of a workload in the given checkout,
+    built from its ``perfbench/workloads.py`` with a temporary out dir."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        proc = subprocess.run(
+            [sys.executable, "-c", RECORDS_SCRIPT, workload, str(seed), out_dir],
+            cwd=checkout, capture_output=True, text=True, check=True,
+        )
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def compare_records(base: str, change: str) -> dict:
+    """Each side's op-record digest and whether the two are identical."""
+    return {"base": base, "change": change, "records_identical": base == change}
 
 
 def git(*args: str) -> str:
@@ -157,6 +192,8 @@ def main(argv=None) -> int:
                 "runs": runs,
                 "summary": summarize(runs, metrics),
                 "traced_counts": compare_counts(traced["base"], traced["change"]),
+                "op_records": compare_records(*(op_record_digest(checkout, workload, args.seed)
+                                                for _, checkout in sides)),
             }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
