@@ -14,9 +14,9 @@ lies in the one before, each later step stops bracketing a degree when its
 span reaches that dimension, and a series of L ends within dim L + 2 terms.
 The quantified hypothesis "every element of this subspace is nilpotent" is
 decided by three exact stages: a seeded integer combination that is not
-nilpotent refutes it (an exact certificate, not a sample), a product chain
-V, V V, V V V, ... that vanishes proves it, and the polarized trace
-identities decide what neither settles.
+nilpotent refutes it (an exact certificate, not a sample), a chain of
+V-invariant subspaces V^j Q(i)^m that reaches 0 proves it, and the polarized
+trace identities decide what neither settles.
 """
 
 from __future__ import annotations
@@ -25,10 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .groups import FinAbGroup
 from .matrices import (
+    _INT64_SAFE,
     Mat,
     ShapeError,
+    all_nilpotent_exact,
     bracket,
     bracket_pairs,
     is_nilpotent_exact,
@@ -41,7 +45,7 @@ from .subspaces import (
     Subspace,
     _Echelon,
     mat_span,
-    product_span,
+    pivot_columns,
     span_basis_mats,
     span_closure,
 )
@@ -264,18 +268,23 @@ def is_engel_element(algebra: LieAlgebra, a: Mat) -> bool:
 # V = span{A_1..A_d} of m x m matrices is nil when every element is
 # nilpotent.  Three exact stages decide it, cheapest first:
 #
-# (a) Refute.  Each basis matrix, then two integer combinations whose
+# (a) Refute.  The basis matrices, then two integer combinations whose
 #     coefficients come from a fixed-seed local generator, go through
-#     is_nilpotent_exact.  A combination that is not nilpotent is an exact
+#     all_nilpotent_exact.  A combination that is not nilpotent is an exact
 #     certificate for False; the seed only picks which elements are tried,
 #     so this is not sampling: no verdict rests on a combination passing.
-# (b) Prove.  W_1 = V and W_{j+1} = span(V W_j).  If some W_j = 0 with
-#     j <= m, every product of m elements of V vanishes, so V lies in a
-#     nilpotent associative algebra and is nil.  The chain is the
-#     certificate.  It cannot vanish when V is not simultaneously strictly
-#     triangularizable, and some nil spaces are not (Gerstenhaber 1958;
-#     Mathes, Omladic and Radjavi 1991).  Each level is one
-#     subspaces.product_span, a batched int64 product where it is exact.
+# (b) Prove.  U_0 = Q(i)^m and U_{j+1} = A_1 U_j + ... + A_d U_j, so U_j =
+#     V^j Q(i)^m.  U_j = 0 exactly when every product of j elements of V
+#     vanishes, that is when W_j = span(V^j) in gl(m) is 0; then V lies in a
+#     nilpotent associative algebra and is nil, and the chain is the
+#     certificate.  Each U_j is V-invariant, and U_{j+1} lies in U_j, so the
+#     rank falls at every step until the chain is 0 (True, within m steps)
+#     or stationary and nonzero, which it then stays (False).  It cannot
+#     vanish when V is not simultaneously strictly triangularizable, and
+#     some nil spaces are not (Gerstenhaber 1958; Mathes, Omladic and
+#     Radjavi 1991).  A level is the m x dk matrix [A_1 B | ... | A_d B] for
+#     a basis B of U_j (k columns), one batched int64 product where that is
+#     exact, and its pivot columns are a basis of U_{j+1}.
 # (c) Fall back.  V is nil iff tr((l_1 A_1 + ... + l_d A_d)^k) vanishes
 #     identically for k = 1..m.  The monomial coefficients of these traces are
 #     the symmetrized sums of traces of products over all orderings of each
@@ -318,6 +327,7 @@ def _refuted_by_combinations(mats: Sequence[Mat], m_side: int) -> bool:
     rng = random.Random(_REFUTE_SEED)
     grids = _integer_grids(mats)
     size = m_side * m_side
+    combinations = []
     for _ in range(_REFUTE_TRIES):
         re = [0] * size
         im = [0] * size
@@ -327,20 +337,67 @@ def _refuted_by_combinations(mats: Sequence[Mat], m_side: int) -> bool:
                 for k in range(size):
                     re[k] += c * gre[k]
                     im[k] += c * gim[k]
-        if not is_nilpotent_exact(Mat._normalized(m_side, m_side, re, im, 1)):
-            return True
-    return False
+        combinations.append(Mat._normalized(m_side, m_side, re, im, 1))
+    return not all_nilpotent_exact(combinations)
 
 
 def _nil_by_products(mats: Sequence[Mat], m_side: int) -> bool:
-    """Stage (b): True when span(V W_j) reaches 0 within m_side steps."""
-    level = list(mats)
-    for _ in range(m_side - 1):
-        nxt = product_span(mats, level, m_side)
-        if nxt.is_zero():
+    """Stage (b): True when U_j = V^j Q(i)^m reaches 0, False once its rank
+    stops falling."""
+    m = m_side
+    real = all(a.is_real() for a in mats)
+    # U_1 is spanned by the columns of [A_1 | ... | A_d]; scaling a block of
+    # columns by its denominator moves neither the span nor the pivot columns
+    re = [[v for a in mats for v in a.re[r * m : (r + 1) * m]] for r in range(m)]
+    im = None if real else [[v for a in mats for v in a.im[r * m : (r + 1) * m]] for r in range(m)]
+    rank = m
+    while True:
+        cols = pivot_columns(re, im)
+        if not cols:
             return True
-        level = span_basis_mats(nxt, m_side)
-    return False
+        if len(cols) == rank:
+            return False
+        rank = len(cols)
+        re, im = _images(
+            mats,
+            [[row[c] for c in cols] for row in re],
+            None if real else [[row[c] for c in cols] for row in im],
+        )
+
+
+def _images(mats: Sequence[Mat], b_re: list, b_im: list | None) -> tuple[list, list | None]:
+    """The rows of [A_1 B | ... | A_d B] up to a scalar on each block, for the
+    integer m x k matrix B with rows ``b_re`` (+ i ``b_im``; None when V and B
+    are real).
+
+    Under the bound ``Mat.__matmul__`` uses, all d products are one int64
+    product of the stacked numerator grids; above it each is formed exactly.
+    """
+    m, k, d = len(b_re), len(b_re[0]), len(mats)
+    big_a = max(a.max_abs_num() for a in mats)
+    big_b = max(max(map(abs, row)) for row in b_re)
+    if b_im is not None:
+        big_b = max(big_b, max(max(map(abs, row)) for row in b_im))
+    if 2 * m * max(big_a, 1) * max(big_b, 1) < _INT64_SAFE:
+        a_re = np.array([a.re for a in mats], dtype=np.int64).reshape(d, m, m)
+        p_re = a_re @ np.array(b_re, dtype=np.int64)
+        if b_im is None:
+            return p_re.transpose(1, 0, 2).reshape(m, d * k).tolist(), None
+        a_im = np.array([a.im for a in mats], dtype=np.int64).reshape(d, m, m)
+        p_re = p_re - a_im @ np.array(b_im, dtype=np.int64)
+        p_im = a_re @ np.array(b_im, dtype=np.int64) + a_im @ np.array(b_re, dtype=np.int64)
+        return (
+            p_re.transpose(1, 0, 2).reshape(m, d * k).tolist(),
+            p_im.transpose(1, 0, 2).reshape(m, d * k).tolist(),
+        )
+    zero = [0] * (m * k)
+    b = Mat._normalized(m, k, [v for row in b_re for v in row],
+                        zero if b_im is None else [v for row in b_im for v in row], 1)
+    products = [a @ b for a in mats]
+    re = [[v for p in products for v in p.re[r * k : (r + 1) * k]] for r in range(m)]
+    if b_im is None:
+        return re, None
+    return re, [[v for p in products for v in p.im[r * k : (r + 1) * k]] for r in range(m)]
 
 
 def _nil_by_traces(mats: Sequence[Mat], m_side: int) -> bool:
@@ -388,8 +445,9 @@ def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
 
     Accepts a Subspace of flattened gl(m) or a sequence of m x m matrices
     (used as a spanning set).  The three stages above run in order: a
-    non-nilpotent basis matrix or seeded combination refutes, a vanishing
-    product chain proves, and the trace expansion decides what is left.
+    non-nilpotent basis matrix or seeded combination refutes, an image chain
+    V^j Q(i)^m that reaches 0 proves, and the trace expansion decides what
+    is left.
     """
     if isinstance(v, Subspace):
         if v.is_zero():
@@ -408,7 +466,7 @@ def is_nil_subspace(v, ambient_side: int | None = None) -> bool:
     if not mats:
         return True
     m_side = mats[0].n_rows
-    if not all(is_nilpotent_exact(m) for m in mats):
+    if not all_nilpotent_exact(mats):
         return False
     if len(mats) == 1:
         return True

@@ -25,6 +25,7 @@ __all__ = [
     "jordan_product",
     "trace_product",
     "is_nilpotent_exact",
+    "all_nilpotent_exact",
     "to_numeric",
     "ShapeError",
 ]
@@ -455,6 +456,43 @@ def is_nilpotent_exact(a: Mat) -> bool:
         if p.is_zero():
             return True
     return p.is_zero()
+
+
+def all_nilpotent_exact(mats: Sequence[Mat]) -> bool:
+    """True iff every matrix is nilpotent: ``is_nilpotent_exact`` of each.
+
+    The traces are tested first.  Then the numerator grids, whose nilpotency
+    is their matrix's, are squared together as one int64 stack until the
+    exponent reaches n, each squaring under the bound ``Mat.__matmul__``
+    uses; the set is nilpotent iff that power of every grid is 0.  When the
+    bound fails, each matrix is decided by ``is_nilpotent_exact``.
+    """
+    mats = list(mats)
+    if not mats:
+        return True
+    n = mats[0].n_rows
+    if any(a.shape != (n, n) for a in mats):
+        raise ShapeError("nilpotency of matrices that are not all n x n")
+    if any(sum(a.re[:: n + 1]) or sum(a.im[:: n + 1]) for a in mats):
+        return False
+    big = max(a.max_abs_num() for a in mats)
+    real = all(a.is_real() for a in mats)
+    e = 1
+    while big and e < n:
+        if 2 * n * big * big >= _INT64_SAFE:
+            return all(is_nilpotent_exact(a) for a in mats)
+        if e == 1:
+            # built once the bound has shown that every entry fits in int64
+            p_re = np.array([a.re for a in mats], dtype=np.int64).reshape(-1, n, n)
+            p_im = None if real else np.array([a.im for a in mats], dtype=np.int64).reshape(-1, n, n)
+        if real:
+            p_re = p_re @ p_re
+            big = int(np.abs(p_re).max())
+        else:
+            p_re, p_im = p_re @ p_re - p_im @ p_im, p_re @ p_im + p_im @ p_re
+            big = max(int(np.abs(p_re).max()), int(np.abs(p_im).max()))
+        e *= 2
+    return not big
 
 
 def to_numeric(a: Mat) -> np.ndarray:

@@ -19,9 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .matrices import _INT64_SAFE, Mat, ShapeError
+from .matrices import Mat, ShapeError
 from .scalars import GaussianRational
 
 __all__ = [
@@ -33,7 +31,7 @@ __all__ = [
     "subspace_intersect",
     "linear_relations",
     "mat_span",
-    "product_span",
+    "pivot_columns",
     "span_basis_mats",
     "span_closure",
     "column_kernel",
@@ -150,6 +148,8 @@ class _Echelon:
     def insert(self, row: _Row) -> bool:
         """Insert a (copy-safe) row; True when the rank grew."""
         self.reduce(row)
+        if _row_is_zero(row):
+            return False
         col = _row_first_nonzero(row, self.pivot_limit)
         if col < 0:
             return False
@@ -402,40 +402,19 @@ def mat_span(mats: Sequence[Mat], n: int | None = None) -> Subspace:
     return ech.subspace()
 
 
-def product_span(lefts: Sequence[Mat], rights: Sequence[Mat], n: int) -> Subspace:
-    """span{a @ w : a in lefts, w in rights} inside flattened gl(n).
-
-    When every product fits in int64 (the bound ``Mat.__matmul__`` uses), all
-    of them come from one batched product of the numerator grids, and each
-    enters the echelon, a-major, as its integer row: scaling a product by its
-    nonzero denominator leaves the span, and every stored row, unchanged.
-    Above the bound each product is formed exactly, one at a time.
+def pivot_columns(re_rows: Sequence[list], im_rows: Sequence[list] | None = None) -> list[int]:
+    """The pivot columns of the Gaussian-integer matrix with these rows (real
+    and imaginary parts; no ``im_rows`` means real): from left to right, each
+    column that is not a combination of the columns before it.  They index a
+    basis of its column space, and their number is its rank.
     """
-    lefts, rights = list(lefts), list(rights)
-    if any(m.shape != (n, n) for m in lefts + rights):
-        raise ShapeError(f"products of matrices that are not {n}x{n}")
-    ech = _Echelon(n * n)
-    big_a = max((a.max_abs_num() for a in lefts), default=0)
-    big_w = max((w.max_abs_num() for w in rights), default=0)
-    if 2 * n * max(big_a, 1) * max(big_w, 1) < _INT64_SAFE:
-        d, k = len(lefts), len(rights)
-        a_re = np.array([a.re for a in lefts], dtype=np.int64).reshape(d, 1, n, n)
-        w_re = np.array([w.re for w in rights], dtype=np.int64).reshape(1, k, n, n)
-        if all(m.is_real() for m in lefts + rights):
-            re = (a_re @ w_re).reshape(d * k, n * n).tolist()
-            im = [[0] * (n * n)] * (d * k)
-        else:
-            a_im = np.array([a.im for a in lefts], dtype=np.int64).reshape(d, 1, n, n)
-            w_im = np.array([w.im for w in rights], dtype=np.int64).reshape(1, k, n, n)
-            re = (a_re @ w_re - a_im @ w_im).reshape(d * k, n * n).tolist()
-            im = (a_re @ w_im + a_im @ w_re).reshape(d * k, n * n).tolist()
-        for row_re, row_im in zip(re, im):
-            ech.insert([row_re, row_im, 1])
-    else:
-        for a in lefts:
-            for w in rights:
-                ech.add(a @ w)
-    return ech.subspace()
+    if not re_rows:
+        return []
+    ech = _Echelon(len(re_rows[0]))
+    zero = [0] * ech.n_cols
+    for k, re in enumerate(re_rows):
+        ech.insert([re, zero if im_rows is None else im_rows[k], 1])
+    return ech.pivots
 
 
 def span_closure(seeds, actions, width: int) -> tuple[list, Subspace]:

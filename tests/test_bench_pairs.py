@@ -119,14 +119,52 @@ def test_op_record_digests_compare_one_pass_of_each_side(tmp_path):
     base = _toy_checkout(tmp_path / "base", "a")
     same = _toy_checkout(tmp_path / "same", "a")
     other = _toy_checkout(tmp_path / "other", "b")
-    digest = bench_pairs.op_record_digest(base, "toy", 7)
+    digest = bench_pairs.op_records(base, "toy", 7)
     want = hashlib.sha256(repr([(7, "a"), "KeyError"]).encode()).hexdigest()
-    assert digest == want
+    assert digest[0] == want
     # the corpus goes to a temporary directory, not into the checkout
     assert not any(p.name == "corpus" for p in base.rglob("*"))
-    assert bench_pairs.compare_records(digest, bench_pairs.op_record_digest(same, "toy", 7)) == {
+    identical = bench_pairs.compare_records(digest, bench_pairs.op_records(same, "toy", 7))
+    assert {k: identical[k] for k in ("base", "change", "records_identical")} == {
         "base": want, "change": want, "records_identical": True,
     }
-    moved = bench_pairs.compare_records(digest, bench_pairs.op_record_digest(other, "toy", 7))
+    moved = bench_pairs.compare_records(digest, bench_pairs.op_records(other, "toy", 7))
     assert moved["records_identical"] is False and moved["change"] != want
-    assert bench_pairs.op_record_digest(base, "toy", 8) != digest
+    assert bench_pairs.op_records(base, "toy", 8)[0] != want
+
+
+TIMED_WORKLOADS = '''
+import time
+from types import SimpleNamespace
+
+def build(seed, out_dir):
+    def op(first_s, then_s):
+        calls = []
+
+        def run():
+            calls.append(1)
+            time.sleep(first_s if len(calls) == 1 else then_s)
+            return len(calls)
+
+        return SimpleNamespace(run=run, record=lambda out: out)
+
+    # each op is slow on its first pass only
+    return SimpleNamespace(ops=[op(0.4, 0.01), op(0.4, 0.02)])
+
+WORKLOADS = {"timed": build}
+'''
+
+
+def test_op_records_sum_each_ops_least_time_over_the_passes(tmp_path):
+    root = tmp_path / "timed"
+    (root / "src").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(TIMED_WORKLOADS)
+    digest, least_ms = bench_pairs.op_records(root, "timed", 1)
+    # the records are the first pass's: each op's first call
+    assert digest == hashlib.sha256(repr([1, 1]).encode()).hexdigest()
+    assert bench_pairs.RECORD_PASSES >= 2
+    # 10 ms + 20 ms at least, and far below a first pass that counted
+    assert 30 <= least_ms < 400
+    record = bench_pairs.compare_records((digest, least_ms), (digest, 12.5))
+    assert record["least_op_ms_sum"] == {"base": least_ms, "change": 12.5}

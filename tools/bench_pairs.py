@@ -14,10 +14,13 @@ the change won.  Each metric also gets the base's spread, the signed median
 change and a verdict against its ``BENCHMARK.json`` bound (see ``summarize``).
 After the timed pairs, one ``--trace 1`` run per side and workload gives the
 per-layer counts; the record keeps each side's ``count``-unit metrics and
-the names whose values differ (see ``compare_counts``).  Last, one untimed
-pass of each workload's ops per side, in a subprocess that writes its corpus
-to a temporary directory, gives the sha256 of that pass's op records and
-whether the two sides' records are identical (see ``op_record_digest``).
+the names whose values differ (see ``compare_counts``).  Last, a subprocess
+per side that writes its corpus to a temporary directory runs
+``RECORD_PASSES`` passes of each workload's ops.  It gives the sha256 of the
+first pass's op records, whether the two sides' records are identical, and
+the sum over ops of each op's minimum time across the passes (see
+``op_records``): unlike a median over a timed run, that sum moves little with
+the load of a shared machine.
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload lie-closure \\
         --seed 4242 --out BENCH_lie_series.json
@@ -37,21 +40,32 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 # traced counts are per pass, so a short traced run gives the same counts
 TRACE_SECONDS = 1
-# run in a checkout: one pass of a workload's ops, and the sha256 of the repr
-# of their records, an op that raises recorded by its exception's class name
+# passes of the ops in the op-record subprocess; the first one's records are hashed
+RECORD_PASSES = 5
+# run in a checkout: RECORD_PASSES passes of a workload's ops; print the
+# sha256 of the repr of the first pass's records, an op that raises recorded
+# by its exception's class name, and the sum over ops of each op's least
+# run time in milliseconds
 RECORDS_SCRIPT = """
-import hashlib, sys
+import gc, hashlib, sys, time
 from pathlib import Path
 sys.path[:0] = [str(Path("src").resolve()), str(Path("perfbench").resolve())]
 import workloads
-workload, seed, out_dir = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
-records = []
-for op in workloads.WORKLOADS[workload](seed, out_dir).ops:
-    try:
-        records.append(op.record(op.run()))
-    except Exception as exc:
-        records.append(type(exc).__name__)
-print(hashlib.sha256(repr(records).encode()).hexdigest())
+workload, seed, out_dir, passes = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3]), int(sys.argv[4])
+ops = workloads.WORKLOADS[workload](seed, out_dir).ops
+records, least = [], [float("inf")] * len(ops)
+for p in range(passes):
+    gc.collect()
+    for k, op in enumerate(ops):
+        t0 = time.perf_counter()
+        try:
+            out, fault = op.run(), None
+        except Exception as exc:
+            fault = type(exc).__name__
+        least[k] = min(least[k], time.perf_counter() - t0)
+        if p == 0:
+            records.append(fault or op.record(out))
+print(hashlib.sha256(repr(records).encode()).hexdigest(), 1000 * sum(least))
 """
 
 
@@ -65,20 +79,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def op_record_digest(checkout: Path, workload: str, seed: int) -> str:
-    """The sha256 of one pass's op records of a workload in the given checkout,
-    built from its ``perfbench/workloads.py`` with a temporary out dir."""
+def op_records(checkout: Path, workload: str, seed: int) -> tuple[str, float]:
+    """The sha256 of the first pass's op records of a workload in the given
+    checkout, and the sum over its ops of each op's least time in ms across
+    ``RECORD_PASSES`` passes; the workload is built from the checkout's
+    ``perfbench/workloads.py`` with a temporary out dir."""
     with tempfile.TemporaryDirectory() as out_dir:
         proc = subprocess.run(
-            [sys.executable, "-c", RECORDS_SCRIPT, workload, str(seed), out_dir],
+            [sys.executable, "-c", RECORDS_SCRIPT, workload, str(seed), out_dir, str(RECORD_PASSES)],
             cwd=checkout, capture_output=True, text=True, check=True,
         )
-    return proc.stdout.strip().splitlines()[-1]
+    digest, least_ms = proc.stdout.strip().splitlines()[-1].split()
+    return digest, float(least_ms)
 
 
-def compare_records(base: str, change: str) -> dict:
-    """Each side's op-record digest and whether the two are identical."""
-    return {"base": base, "change": change, "records_identical": base == change}
+def compare_records(base: tuple[str, float], change: tuple[str, float]) -> dict:
+    """Each side's op-record digest, whether the two are identical, and each
+    side's sum of per-op least times (``op_records``)."""
+    return {
+        "base": base[0], "change": change[0], "records_identical": base[0] == change[0],
+        "least_op_ms_sum": {"base": base[1], "change": change[1]},
+    }
 
 
 def git(*args: str) -> str:
@@ -192,7 +213,7 @@ def main(argv=None) -> int:
                 "runs": runs,
                 "summary": summarize(runs, metrics),
                 "traced_counts": compare_counts(traced["base"], traced["change"]),
-                "op_records": compare_records(*(op_record_digest(checkout, workload, args.seed)
+                "op_records": compare_records(*(op_records(checkout, workload, args.seed)
                                                 for _, checkout in sides)),
             }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
